@@ -28,9 +28,14 @@ A sixth tag ``hybrid`` (single-column projection + row-block update) exists
 only to demonstrate that mismatched projection/update speeds degrade
 convergence; it is not a supported method.
 
-Each step function is pure: it returns a fresh state and never mutates its
-inputs, so independent runs can share the same matrix and cached block
-factorizations.
+All of them are one sketch-and-project update (Gower & Richtarik, 2015): a
+step projects ``z`` off a column block (``blockcd``: a descent step on it)
+and/or ``x`` onto the solution set of a row block of ``a x = b - z``; single
+rows and columns drawn by squared norm are blocks of size one.
+:class:`Kernel` holds that update once and runs an epoch of batched draws on
+``x`` and ``z`` in place; the ``*_step`` functions are pure one-step wrappers
+over it.  Nothing writes into a system's arrays or a :class:`BlockPlan`, so
+independent runs can share them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_matrix, as_vector, pinv_apply
+from .linalg import SvdFactorization, as_matrix, as_vector
 from .paving import COLUMNS, ROWS, Partition, block_factorizations
 from .systems import LinearSystem
 
@@ -151,28 +156,27 @@ class Trace:
 
 
 class NormSampler:
-    """Draw indices with probability proportional to given squared norms."""
+    """Draw indices with probability proportional to given squared norms.
+
+    Zero weights are allowed and never drawn: the search on the cumulative
+    sum lands right of every flat step.  Only all-zero weights are rejected.
+    """
 
     def __init__(self, sq_norms: np.ndarray):
         sq_norms = as_vector(sq_norms, "sq_norms")
-        if np.any(sq_norms <= 0):
-            raise ValueError("squared norms must be positive (zero rows/columns are not samplable)")
+        if np.any(sq_norms < 0) or not np.any(sq_norms > 0):
+            raise ValueError("squared norms must be nonnegative and not all zero")
         self.sq_norms = sq_norms
         self._cdf = np.cumsum(sq_norms)
 
-    def draw(self, rng: np.random.Generator) -> int:
-        u = rng.random() * self._cdf[-1]
-        return int(np.searchsorted(self._cdf, u, side="right"))
+    def draw(self, rng: np.random.Generator, size: int | None = None):
+        """One index, or an array of ``size`` indices."""
+        return self.locate(rng.random(size))
 
-
-def row_sampler(a: np.ndarray) -> NormSampler:
-    a = as_matrix(a)
-    return NormSampler(np.einsum("ij,ij->i", a, a))
-
-
-def col_sampler(a: np.ndarray) -> NormSampler:
-    a = as_matrix(a)
-    return NormSampler(np.einsum("ij,ij->j", a, a))
+    def locate(self, u):
+        """Map uniform draws in ``[0, 1)`` to indices."""
+        k = np.searchsorted(self._cdf, u * self._cdf[-1], side="right")
+        return int(k) if np.ndim(k) == 0 else k
 
 
 @dataclass(frozen=True)
@@ -201,156 +205,177 @@ def make_block_plan(a: np.ndarray, partition: Partition) -> BlockPlan:
     return BlockPlan(partition=partition, submatrices=subs, factorizations=tuple(facts))
 
 
-def _remove_range_component(fact: SvdFactorization, v: np.ndarray) -> np.ndarray:
-    """Project ``v`` off the range of the factored matrix: ``v - U U^T v``."""
-    r = fact.rank
-    if r == 0:
-        return v.copy()
-    u = fact.u[:, :r]
-    return v - u @ (u.T @ v)
+def _factors(plan: BlockPlan):
+    """Per block: ``U^T``, ``U``, ``V`` and singular values cut to the numerical
+    rank, as views of the plan's factorizations."""
+    facts = plan.factorizations
+    u = [f.u[:, : f.rank] for f in facts]
+    return [m.T for m in u], u, [f.v[:, : f.rank] for f in facts], [f.singular_values[: f.rank] for f in facts]
 
 
-def rk_step(
-    state: SolverState,
-    a: np.ndarray,
-    b: np.ndarray,
-    rng: np.random.Generator,
-    sampler: NormSampler | None = None,
-    row_index: int | None = None,
-) -> SolverState:
-    """One randomized row projection: move ``x`` onto the hyperplane of row ``i``.
+def _column_update(a, b, cols):
+    """Project ``z`` off column ``k`` of ``a``, or off the range of column block ``k``."""
+    if isinstance(cols, NormSampler):
+        at, sq = a.T, cols.sq_norms.tolist()
 
-    The row is sampled with probability proportional to its squared norm
-    unless ``row_index`` pins it (used by tests and diagnostics).
+        def update(k, x, z):
+            col = at[k]
+            z -= ((col @ z) / sq[k]) * col
+
+        return update
+    ut, u, _, _ = _factors(cols)
+
+    def update(k, x, z):
+        z -= u[k] @ (ut[k] @ z)
+
+    return update
+
+
+def _descent_update(a, b, cols):
+    """Block coordinate descent: solve column block ``k``'s least-squares problem
+    against ``z``, add the solution to its coordinates of ``x`` and remove its
+    image from ``z``, which keeps ``z == b - a x`` up to roundoff."""
+    ut, _, v, s = _factors(cols)
+    idx, sub = cols.partition.blocks, cols.submatrices
+
+    def update(k, x, z):
+        w = v[k] @ ((ut[k] @ z) / s[k])
+        x[idx[k]] += w
+        z -= sub[k] @ w
+
+    return update
+
+
+def _row_update(a, b, rows):
+    """Project ``x`` onto the hyperplane of row ``k``, or the solution set of row
+    block ``k``, of ``a x = b - z`` (``a x = b`` when there is no ``z``)."""
+    if isinstance(rows, NormSampler):
+        bl, sq = b.tolist(), rows.sq_norms.tolist()
+
+        def update(k, x, z):
+            row = a[k]
+            r = bl[k] - row @ x if z is None else bl[k] - z[k] - row @ x
+            x += (r / sq[k]) * row
+
+        return update
+    ut, _, v, s = _factors(rows)
+    idx, sub = rows.partition.blocks, rows.submatrices
+    bk = [b[i] for i in idx]
+
+    def update(k, x, z):
+        r = bk[k] - sub[k] @ x if z is None else bk[k] - z[idx[k]] - sub[k] @ x
+        x += v[k] @ ((ut[k] @ r) / s[k])
+
+    return update
+
+
+# Each method's column side and row side, run in that order within a step.
+_SKETCH = {
+    RK: (None, _row_update),
+    REK: (_column_update, _row_update),
+    BLOCK: (None, _row_update),
+    DOUBLE: (_column_update, _row_update),
+    HYBRID: (_column_update, _row_update),
+    BLOCK_CD: (_descent_update, None),
+}
+
+
+class Kernel:
+    """The in-place sketch-and-project update of one method on one system.
+
+    Each side of a step picks one block: a single row or column of ``a``
+    drawn by squared norm when given a :class:`NormSampler` (the default),
+    or a block of a :class:`BlockPlan` drawn uniformly.
     """
-    if sampler is None:
-        sampler = row_sampler(a)
-    i = sampler.draw(rng) if row_index is None else int(row_index)
-    row = a[i]
-    x = state.x + ((b[i] - row @ state.x) / sampler.sq_norms[i]) * row
-    return replace(state, x=x, iteration=state.iteration + 1, last_row=i)
+
+    def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
+        col_update, row_update = _SKETCH[method]
+        sides = []
+        if col_update is not None:
+            sides.append((col_update, cols if cols is not None else NormSampler(np.einsum("ij,ij->j", a, a)), "last_col"))
+        if row_update is not None:
+            sides.append((row_update, rows if rows is not None else NormSampler(np.einsum("ij,ij->i", a, a)), "last_row"))
+        self._updates = [update(a, b, pick) for update, pick, _ in sides]
+        self._picks = [pick for _, pick, _ in sides]
+        self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
+        self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
+
+    def draw(self, rng: np.random.Generator, steps: int) -> list[list[int]]:
+        """Block indices of ``steps`` steps, one list per side.
+
+        The stream is the same as drawing each step's indices in turn, side
+        by side, with one scalar draw each.
+        """
+        picks, weighted = self._picks, self._weighted
+        if all(weighted):
+            u = rng.random((steps, len(picks)))
+            return [p.locate(u[:, j]).tolist() for j, p in enumerate(picks)]
+        if not any(weighted):
+            return rng.integers([p.n_blocks for p in picks], size=(steps, len(picks))).T.tolist()
+        # norm and uniform draws interleave (hybrid): draw step by step
+        ks = [[p.draw(rng) if w else int(rng.integers(p.n_blocks)) for p, w in zip(picks, weighted)] for _ in range(steps)]
+        return [list(k) for k in zip(*ks)]
+
+    def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
+        """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
+        if len(self._updates) == 1:
+            update = self._updates[0]
+            for k in indices[0]:
+                update(k, x, z)
+        else:
+            first, second = self._updates
+            for t, u in zip(*indices):
+                first(t, x, z)
+                second(u, x, z)
+
+    def step(self, state: SolverState, rng: np.random.Generator, *pinned) -> SolverState:
+        """One pure step from ``state``; pinned indices (one per side, ``None`` to
+        draw) replace the drawn ones."""
+        drawn = self.draw(rng, 1) if any(k is None for k in pinned) else [[None]] * len(pinned)
+        ks = [d[0] if k is None else int(k) for k, d in zip(pinned, drawn)]
+        x, z = state.x.copy(), None if state.z is None else state.z.copy()
+        self.apply(x, z, [[k] for k in ks])
+        return replace(state, x=x, z=z, iteration=state.iteration + 1, **dict(zip(self._fields, ks)))
 
 
-def rek_step(
-    state: SolverState,
-    a: np.ndarray,
-    b: np.ndarray,
-    rng: np.random.Generator,
-    rows: NormSampler | None = None,
-    cols: NormSampler | None = None,
-    row_index: int | None = None,
-    col_index: int | None = None,
-) -> SolverState:
-    """One extended-Kaczmarz step: column projection of ``z``, then a row update.
-
-    The column draw happens before the row draw, and the row update uses the
-    freshly updated ``z``.  Rows and columns are sampled independently, each
-    proportionally to their squared norms.
-    """
-    if rows is None:
-        rows = row_sampler(a)
-    if cols is None:
-        cols = col_sampler(a)
-    k = cols.draw(rng) if col_index is None else int(col_index)
-    i = rows.draw(rng) if row_index is None else int(row_index)
-    col = a[:, k]
-    z = state.z - ((col @ state.z) / cols.sq_norms[k]) * col
-    row = a[i]
-    x = state.x + ((b[i] - z[i] - row @ state.x) / rows.sq_norms[i]) * row
-    return replace(state, x=x, z=z, iteration=state.iteration + 1, last_row=i, last_col=k)
+def rk_step(state, a, b, rng, sampler: NormSampler | None = None, row_index: int | None = None) -> SolverState:
+    """One ``rk`` step: project ``x`` onto the hyperplane of one row, drawn by
+    squared norm unless ``row_index`` pins it (used by tests and diagnostics)."""
+    return Kernel(RK, a, b, rows=sampler).step(state, rng, row_index)
 
 
-def block_kaczmarz_step(
-    state: SolverState,
-    b: np.ndarray,
-    row_plan: BlockPlan,
-    rng: np.random.Generator,
-    block_index: int | None = None,
-) -> SolverState:
-    """Project ``x`` onto the solution space of one row block, drawn uniformly."""
-    k = int(rng.integers(row_plan.n_blocks)) if block_index is None else int(block_index)
-    idx = row_plan.block(k)
-    sub = row_plan.submatrices[k]
-    x = state.x + pinv_apply(row_plan.factorizations[k], b[idx] - sub @ state.x)
-    return replace(state, x=x, iteration=state.iteration + 1, last_row_block=k)
+def rek_step(state, a, b, rng, rows: NormSampler | None = None, cols: NormSampler | None = None,
+             row_index: int | None = None, col_index: int | None = None) -> SolverState:
+    """One ``rek`` step: project ``z`` off one column, then ``x`` onto one row of
+    ``a x = b - z`` with the updated ``z``; the column is drawn first, each by
+    squared norm."""
+    return Kernel(REK, a, b, rows=rows, cols=cols).step(state, rng, col_index, row_index)
 
 
-def double_block_step(
-    state: SolverState,
-    b: np.ndarray,
-    row_plan: BlockPlan,
-    col_plan: BlockPlan,
-    rng: np.random.Generator,
-    col_block: int | None = None,
-    row_block: int | None = None,
-) -> SolverState:
-    """One double-block step: column-block projection of ``z``, then a row-block update.
-
-    The column block removes the component of ``z`` lying in the span of
-    those columns; the row block then projects ``x`` onto the solution space
-    of ``a_block x = (b - z)_block`` using the updated ``z``.
-    """
-    t = int(rng.integers(col_plan.n_blocks)) if col_block is None else int(col_block)
-    u = int(rng.integers(row_plan.n_blocks)) if row_block is None else int(row_block)
-    z = _remove_range_component(col_plan.factorizations[t], state.z)
-    idx = row_plan.block(u)
-    sub = row_plan.submatrices[u]
-    x = state.x + pinv_apply(row_plan.factorizations[u], b[idx] - z[idx] - sub @ state.x)
-    return replace(
-        state, x=x, z=z, iteration=state.iteration + 1, last_row_block=u, last_col_block=t
-    )
+def block_kaczmarz_step(state, b, row_plan: BlockPlan, rng, block_index: int | None = None) -> SolverState:
+    """One ``block`` step: project ``x`` onto the solution space of one row block, drawn uniformly."""
+    return Kernel(BLOCK, None, b, rows=row_plan).step(state, rng, block_index)
 
 
-def block_cd_step(
-    state: SolverState,
-    b: np.ndarray,
-    col_plan: BlockPlan,
-    rng: np.random.Generator,
-    block_index: int | None = None,
-) -> SolverState:
-    """One block coordinate-descent step on a uniformly drawn column block.
-
-    Solves the least-squares subproblem of the block against the current
-    residual estimate ``z``, adds the correction to the block's coordinates
-    of ``x``, and removes the explained part from ``z``; this keeps
-    ``z == b - a @ x`` exact up to roundoff.
-    """
-    k = int(rng.integers(col_plan.n_blocks)) if block_index is None else int(block_index)
-    sub = col_plan.submatrices[k]
-    w = pinv_apply(col_plan.factorizations[k], state.z)
-    x = state.x.copy()
-    x[col_plan.block(k)] += w
-    z = state.z - sub @ w
-    return replace(state, x=x, z=z, iteration=state.iteration + 1, last_col_block=k)
+def double_block_step(state, b, row_plan: BlockPlan, col_plan: BlockPlan, rng,
+                      col_block: int | None = None, row_block: int | None = None) -> SolverState:
+    """One ``double`` step: project ``z`` off the range of one column block, then
+    ``x`` onto the solution space of ``a_block x = (b - z)_block`` for one row
+    block, using the updated ``z``."""
+    return Kernel(DOUBLE, None, b, rows=row_plan, cols=col_plan).step(state, rng, col_block, row_block)
 
 
-def hybrid_step(
-    state: SolverState,
-    a: np.ndarray,
-    b: np.ndarray,
-    row_plan: BlockPlan,
-    rng: np.random.Generator,
-    cols: NormSampler | None = None,
-    col_index: int | None = None,
-    row_block: int | None = None,
-) -> SolverState:
-    """Experimental mismatched step: single-column projection + row-block update.
+def block_cd_step(state, b, col_plan: BlockPlan, rng, block_index: int | None = None) -> SolverState:
+    """One ``blockcd`` step on a uniformly drawn column block; keeps ``z == b - a @ x``
+    up to roundoff."""
+    return Kernel(BLOCK_CD, None, b, cols=col_plan).step(state, rng, block_index)
 
-    Kept only to reproduce the qualitative observation that running the
-    projection and the Kaczmarz update at different speeds degrades
-    convergence; the ``z`` sequence advances one column at a time while the
-    ``x`` update consumes a whole row block.
-    """
-    if cols is None:
-        cols = col_sampler(a)
-    k = cols.draw(rng) if col_index is None else int(col_index)
-    u = int(rng.integers(row_plan.n_blocks)) if row_block is None else int(row_block)
-    col = a[:, k]
-    z = state.z - ((col @ state.z) / cols.sq_norms[k]) * col
-    idx = row_plan.block(u)
-    sub = row_plan.submatrices[u]
-    x = state.x + pinv_apply(row_plan.factorizations[u], b[idx] - z[idx] - sub @ state.x)
-    return replace(state, x=x, z=z, iteration=state.iteration + 1, last_row_block=u, last_col=k)
+
+def hybrid_step(state, a, b, row_plan: BlockPlan, rng, cols: NormSampler | None = None,
+                col_index: int | None = None, row_block: int | None = None) -> SolverState:
+    """One ``hybrid`` step: the single-column projection of ``rek``, then the
+    row-block update of ``double`` (a diagnostic of mismatched speeds)."""
+    return Kernel(HYBRID, a, b, rows=row_plan, cols=cols).step(state, rng, col_index, row_block)
 
 
 def epoch_length(method: str, n_rows: int, row_blocks: int | None = None, col_blocks: int | None = None) -> int:
@@ -377,16 +402,11 @@ def epoch_length(method: str, n_rows: int, row_blocks: int | None = None, col_bl
 
 def initial_state(system: LinearSystem, method: str) -> SolverState:
     """Zero iterate, with ``z`` initialized to ``b`` for methods that carry one."""
-    z = system.b.copy() if method in (REK, DOUBLE, BLOCK_CD, HYBRID) else None
+    z = system.b.copy() if _SKETCH[method][0] is not None else None
     return SolverState(x=np.zeros(system.n_cols), z=z)
 
 
-def run(
-    system: LinearSystem,
-    config: MethodConfig,
-    stop: StopRule,
-    error_fn=None,
-) -> Trace:
+def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=None) -> Trace:
     """Run one method on one system, recording one trace row per epoch.
 
     Parameters
@@ -416,33 +436,13 @@ def run(
     row_plan = make_block_plan(a, config.row_partition) if config.row_partition is not None else None
     col_plan = make_block_plan(a, config.col_partition) if config.col_partition is not None else None
     rng = np.random.default_rng(config.seed)
+    kernel = Kernel(method, a, b, rows=row_plan, cols=col_plan)
 
-    if method == RK:
-        rows = row_sampler(a)
-        step = lambda s: rk_step(s, a, b, rng, sampler=rows)
-    elif method == REK:
-        rows, cols = row_sampler(a), col_sampler(a)
-        step = lambda s: rek_step(s, a, b, rng, rows=rows, cols=cols)
-    elif method == BLOCK:
-        step = lambda s: block_kaczmarz_step(s, b, row_plan, rng)
-    elif method == DOUBLE:
-        step = lambda s: double_block_step(s, b, row_plan, col_plan, rng)
-    elif method == BLOCK_CD:
-        step = lambda s: block_cd_step(s, b, col_plan, rng)
-    elif method == HYBRID:
-        cols = col_sampler(a)
-        step = lambda s: hybrid_step(s, a, b, row_plan, rng, cols=cols)
-    else:  # pragma: no cover - already rejected by validate()
-        raise ConfigError(f"unknown method {method!r}")
-
-    iters_per_epoch = epoch_length(
-        method,
-        system.n_rows,
-        row_blocks=row_plan.n_blocks if row_plan is not None else None,
-        col_blocks=col_plan.n_blocks if col_plan is not None else None,
-    )
+    iters_per_epoch = epoch_length(method, system.n_rows, row_blocks=row_plan and row_plan.n_blocks,
+                                   col_blocks=col_plan and col_plan.n_blocks)
 
     state = initial_state(system, method)
+    x, z = state.x, state.z
     trace = Trace(method=method)
     solver_cpu = 0.0
 
@@ -450,15 +450,15 @@ def run(
 
     def record(epoch: int) -> float:
         if error_fn is not None:
-            err = float(error_fn(state.x))
+            err = float(error_fn(x))
         elif system.x_ls is not None:
-            err = float(np.linalg.norm(state.x - system.x_ls))
+            err = float(np.linalg.norm(x - system.x_ls))
         else:
             err = float("nan")
-        resid = float(np.linalg.norm(b - a @ state.x))
+        resid = float(np.linalg.norm(b - a @ x))
         z_err = None
-        if state.z is not None and system.b_perp is not None:
-            z_err = float(np.linalg.norm(state.z - system.b_perp))
+        if z is not None and system.b_perp is not None:
+            z_err = float(np.linalg.norm(z - system.b_perp))
         trace.rows.append(TraceRow(epoch, err, resid, z_err, solver_cpu))
         return err if error_based else resid
 
@@ -469,8 +469,7 @@ def run(
     else:
         for epoch in range(1, stop.max_epochs + 1):
             t0 = time.process_time()
-            for _ in range(iters_per_epoch):
-                state = step(state)
+            kernel.apply(x, z, kernel.draw(rng, iters_per_epoch))
             solver_cpu += time.process_time() - t0
             metric = record(epoch)
             if error_based:
@@ -483,5 +482,5 @@ def run(
                     break
             prev_metric = metric
 
-    trace.final_x = state.x.copy()
+    trace.final_x = x.copy()
     return trace

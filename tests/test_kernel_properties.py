@@ -1,0 +1,70 @@
+"""Invariants of the in-place epoch kernel over random shapes, ranks and partitions."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockkaczmarz.paving import COLUMNS, random_partition
+from blockkaczmarz.solvers import BLOCK_CD, DOUBLE, REK, Kernel, make_block_plan
+from blockkaczmarz.systems import make_system
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def problems(draw):
+    """A rank-``r`` n x d system (consistent or not) with row and column plans."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(2, min(n, 10)))
+    r = draw(st.integers(1, d))
+    p_row = draw(st.integers(1, n))
+    p_col = draw(st.integers(1, d))
+    consistent = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    b = a @ rng.standard_normal(d) if consistent else rng.standard_normal(n)
+    system = make_system(a, b)
+    row_plan = make_block_plan(a, random_partition(n, p_row, rng))
+    col_plan = make_block_plan(a, random_partition(d, p_col, rng, axis=COLUMNS))
+    return system, row_plan, col_plan, rng
+
+
+@PROPERTY_SETTINGS
+@given(problems())
+def test_blockcd_keeps_z_equal_to_residual(problem):
+    system, _, col_plan, rng = problem
+    kernel = Kernel(BLOCK_CD, system.a, system.b, cols=col_plan)
+    x, z = np.zeros(system.n_cols), system.b.copy()
+    scale = np.linalg.norm(system.b) + system.spectral.sigma_max * np.linalg.norm(system.x_ls)
+    for _ in range(5):
+        kernel.apply(x, z, kernel.draw(rng, col_plan.n_blocks))
+        assert np.linalg.norm(z - (system.b - system.a @ x)) <= 1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([DOUBLE, BLOCK_CD]))
+def test_z_error_never_increases(problem, method):
+    system, row_plan, col_plan, rng = problem
+    kernel = Kernel(method, system.a, system.b, rows=row_plan, cols=col_plan)
+    x, z = np.zeros(system.n_cols), system.b.copy()
+    slack = 1e-12 * np.linalg.norm(system.b)
+    prev = np.linalg.norm(z - system.b_perp)
+    for step in zip(*kernel.draw(rng, 40)):
+        kernel.apply(x, z, [[k] for k in step])
+        cur = np.linalg.norm(z - system.b_perp)
+        assert cur <= prev * (1 + 1e-12) + slack
+        prev = cur
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.sampled_from([REK, DOUBLE]))
+def test_least_squares_pair_is_fixed_point(problem, method):
+    system, row_plan, col_plan, rng = problem
+    if method == REK:
+        row_plan = col_plan = None  # single rows and columns drawn by squared norm
+    kernel = Kernel(method, system.a, system.b, rows=row_plan, cols=col_plan)
+    x, z = system.x_ls.copy(), system.b_perp.copy()
+    kernel.apply(x, z, kernel.draw(rng, 3 * system.n_rows))
+    b_norm = np.linalg.norm(system.b)
+    assert np.linalg.norm(z - system.b_perp) <= 1e-10 * b_norm
+    assert np.linalg.norm(x - system.x_ls) <= 1e-10 * (np.linalg.norm(system.x_ls) + b_norm / system.spectral.sigma_min_nonzero)

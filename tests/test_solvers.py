@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockkaczmarz import solvers
 from blockkaczmarz.linalg import pinv_apply
 from blockkaczmarz.paving import COLUMNS, ROWS, Partition, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
@@ -70,9 +71,19 @@ class TestNormSampler:
         draws = np.array([sampler.draw(rng) for _ in range(20000)])
         assert abs(np.mean(draws == 1) - 0.75) < 0.02
 
-    def test_rejects_zero_weight(self):
-        with pytest.raises(ValueError, match="positive"):
-            NormSampler(np.array([1.0, 0.0]))
+    def test_zero_weights_never_drawn(self):
+        sampler = NormSampler(np.array([0.0, 2.0, 0.0, 0.0, 1.0, 0.0]))
+        draws = sampler.draw(np.random.default_rng(0), size=20000)
+        assert set(np.unique(draws).tolist()) == {1, 4}
+        assert abs(np.mean(draws == 1) - 2 / 3) < 0.02
+        # the edges of the unit interval land on the first and last positive weight
+        assert sampler.locate(np.array([0.0, np.nextafter(1.0, 0.0)])).tolist() == [1, 4]
+
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ValueError, match="not all zero"):
+            NormSampler(np.zeros(3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            NormSampler(np.array([1.0, -1.0]))
 
 
 class TestRkStep:
@@ -478,3 +489,125 @@ class TestConfigValidation:
             StopRule(max_epochs=-1, error_threshold=1e-6)
         with pytest.raises(ConfigError):
             StopRule(max_epochs=5, error_threshold=0.0)
+
+
+class TestZeroRowsAndColumns:
+    def test_rek_skips_zero_column(self):
+        # the min-norm least-squares solution exists; its zeroed coordinate stays 0
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((60, 20))
+        a[:, 7] = 0.0
+        sys_ = make_system(a, rng.standard_normal(60))
+        with np.errstate(divide="raise", invalid="raise"):
+            trace = run(sys_, MethodConfig(REK, seed=1), StopRule(max_epochs=800, error_threshold=1e-6))
+        assert trace.converged
+        assert trace.final_x[7] == 0.0
+
+    def test_rk_skips_zero_row(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((30, 8))
+        a[4] = 0.0
+        x = rng.standard_normal(8)
+        sys_ = make_system(a, a @ x)
+        trace = run(sys_, MethodConfig(RK, seed=2), StopRule(max_epochs=400, error_threshold=1e-8))
+        assert trace.converged
+
+
+def mixed_setup(seed=0):
+    """An inconsistent 40x12 system with row and column partitions, and the
+    method configs and plans that go with them."""
+    rng = np.random.default_rng(seed)
+    sys_ = small_system(rng, n=40, d=12, inconsistent=True)
+    rowp = random_partition(40, 5, np.random.default_rng(seed + 1))
+    colp = random_partition(12, 3, np.random.default_rng(seed + 2), axis=COLUMNS)
+    configs = {
+        RK: MethodConfig(RK, seed=21),
+        REK: MethodConfig(REK, seed=22),
+        BLOCK: MethodConfig(BLOCK, row_partition=rowp, seed=23),
+        DOUBLE: MethodConfig(DOUBLE, row_partition=rowp, col_partition=colp, seed=24),
+        BLOCK_CD: MethodConfig(BLOCK_CD, col_partition=colp, seed=25),
+        HYBRID: MethodConfig(HYBRID, row_partition=rowp, seed=26),
+    }
+    return sys_, configs, make_block_plan(sys_.a, rowp), make_block_plan(sys_.a, colp)
+
+
+# One pure step of each method, through its public wrapper.
+STEPPERS = {
+    RK: lambda s, sys_, rp, cp, g: rk_step(s, sys_.a, sys_.b, g),
+    REK: lambda s, sys_, rp, cp, g: rek_step(s, sys_.a, sys_.b, g),
+    BLOCK: lambda s, sys_, rp, cp, g: block_kaczmarz_step(s, sys_.b, rp, g),
+    DOUBLE: lambda s, sys_, rp, cp, g: double_block_step(s, sys_.b, rp, cp, g),
+    BLOCK_CD: lambda s, sys_, rp, cp, g: block_cd_step(s, sys_.b, cp, g),
+    HYBRID: lambda s, sys_, rp, cp, g: hybrid_step(s, sys_.a, sys_.b, rp, g),
+}
+
+
+def plan_arrays(*plans):
+    arrays = []
+    for plan in plans:
+        arrays += list(plan.submatrices)
+        for f in plan.factorizations:
+            arrays += [f.u, f.singular_values, f.v]
+    return arrays
+
+
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+def test_batched_run_matches_stepwise_wrappers(method):
+    # the epoch kernel draws a whole epoch at once; the stream must be the one
+    # the wrappers draw step by step
+    sys_, configs, row_plan, col_plan = mixed_setup()
+    config = configs[method]
+    epochs = 6
+    trace = run(sys_, config, StopRule(max_epochs=epochs, error_threshold=1e-300))
+    per_epoch = epoch_length(method, sys_.n_rows, row_blocks=row_plan.n_blocks, col_blocks=col_plan.n_blocks)
+    state = initial_state(sys_, method)
+    g = np.random.default_rng(config.seed)
+    assert len(trace.rows) == epochs + 1
+    for row in trace.rows[1:]:
+        for _ in range(per_epoch):
+            state = STEPPERS[method](state, sys_, row_plan, col_plan, g)
+        assert row.error_l2 == pytest.approx(np.linalg.norm(state.x - sys_.x_ls), rel=1e-12)
+        assert row.residual_l2 == pytest.approx(np.linalg.norm(sys_.b - sys_.a @ state.x), rel=1e-12)
+        if state.z is None:
+            assert row.z_error_l2 is None
+        else:
+            assert row.z_error_l2 == pytest.approx(np.linalg.norm(state.z - sys_.b_perp), rel=1e-12)
+    np.testing.assert_allclose(trace.final_x, state.x, rtol=1e-12, atol=0)
+
+
+class TestNoMutation:
+    @pytest.mark.parametrize("method", sorted(STEPPERS))
+    def test_step_wrappers_leave_inputs_alone(self, method):
+        sys_, _, row_plan, col_plan = mixed_setup(3)
+        state = initial_state(sys_, method)
+        before = [sys_.a, sys_.b, state.x, *([] if state.z is None else [state.z]), *plan_arrays(row_plan, col_plan)]
+        copies = [v.copy() for v in before]
+        g = np.random.default_rng(0)
+        out = state
+        for _ in range(30):
+            out = STEPPERS[method](out, sys_, row_plan, col_plan, g)
+        assert out.iteration == 30 and not np.array_equal(out.x, state.x)
+        for v, c in zip(before, copies):
+            assert np.array_equal(v, c)
+
+    @pytest.mark.parametrize("method", sorted(STEPPERS))
+    def test_run_leaves_system_and_plans_alone(self, method, monkeypatch):
+        sys_, configs, _, _ = mixed_setup(4)
+        built = []
+
+        def recording_plan(a, partition):
+            plan = make_block_plan(a, partition)
+            built.append((plan, [v.copy() for v in plan_arrays(plan)]))
+            return plan
+
+        monkeypatch.setattr(solvers, "make_block_plan", recording_plan)
+        system_arrays = [sys_.a, sys_.b, sys_.x_ls, sys_.b_perp]
+        copies = [v.copy() for v in system_arrays]
+        trace = run(sys_, configs[method], StopRule(max_epochs=5, error_threshold=1e-300))
+        assert trace.final_epoch == 5
+        assert len(built) == (configs[method].row_partition is not None) + (configs[method].col_partition is not None)
+        for v, c in zip(system_arrays, copies):
+            assert np.array_equal(v, c)
+        for plan, plan_copies in built:
+            for v, c in zip(plan_arrays(plan), plan_copies):
+                assert np.array_equal(v, c)
