@@ -12,10 +12,7 @@ from .linalg import (
     SpectralSummary,
     SvdFactorization,
     col_submatrix,
-    matvec,
-    min_norm_lstsq,
     pinv_apply,
-    rmatvec,
     row_submatrix,
     spectral_summary,
     svd_factor,

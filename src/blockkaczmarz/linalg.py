@@ -37,24 +37,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Return the product ``a @ x`` with an explicit dimension check."""
-    a = as_matrix(a)
-    x = as_vector(x, "x")
-    if x.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix has {a.shape[1]} columns, vector has {x.shape[0]}")
-    return a @ x
-
-
-def rmatvec(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return the adjoint product ``a.T @ y`` with an explicit dimension check."""
-    a = as_matrix(a)
-    y = as_vector(y, "y")
-    if y.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, vector has {y.shape[0]}")
-    return a.T @ y
-
-
 def row_submatrix(a: np.ndarray, indices) -> np.ndarray:
     """Return a contiguous copy of the rows of ``a`` selected by ``indices``.
 
@@ -149,15 +131,6 @@ def pinv_apply(fact: SvdFactorization, v: np.ndarray) -> np.ndarray:
         return np.zeros(fact.v.shape[0])
     coeff = (fact.u[:, :r].T @ v) / fact.singular_values[:r]
     return fact.v[:, :r] @ coeff
-
-
-def min_norm_lstsq(a: np.ndarray, b: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
-    """Return the minimum-norm least-squares solution of ``a x = b`` via SVD."""
-    a = as_matrix(a)
-    b = as_vector(b, "b")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
-    return pinv_apply(svd_factor(a, rank_tolerance), b)
 
 
 @dataclass(frozen=True)

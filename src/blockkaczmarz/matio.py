@@ -1,13 +1,15 @@
 """Plain-text matrix and vector files.
 
 Matrix format: first line ``n d``, then ``n`` lines of ``d`` space-separated
-decimals.  Vector format: first line ``n``, then ``n`` decimals, one per line.
+decimals (``#`` is not a comment).  Vector format: first line ``n``, then
+``n`` decimals, one per line.
 Values are written with 17 significant digits so a round trip preserves at
 least 15 significant digits.
 """
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,18 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'n d' header, got {header!r}")
         n, d = int(header[0]), int(header[1])
-        rows = []
-        for k in range(n):
-            parts = fh.readline().split()
-            if len(parts) != d:
-                raise ValueError(f"{path}: row {k} has {len(parts)} entries, expected {d}")
-            rows.append([float(p) for p in parts])
-    return as_matrix(np.array(rows, dtype=float), str(path))
+        if n < 1 or d < 1:
+            raise ValueError(f"{path}: expected a positive 'n d' header, got {header!r}")
+        try:
+            with warnings.catch_warnings():
+                # loadtxt only warns on blank or missing rows; they are malformed here
+                warnings.simplefilter("error", UserWarning)
+                a = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=n)
+        except (ValueError, UserWarning) as exc:
+            raise ValueError(f"{path}: expected {n} rows of {d} entries: {exc}") from exc
+    if a.shape != (n, d):
+        raise ValueError(f"{path}: expected {n} rows of {d} entries, got {a.shape[0]} rows of {a.shape[1]}")
+    return as_matrix(a, str(path))
 
 
 def write_vector(v: np.ndarray, path) -> None:

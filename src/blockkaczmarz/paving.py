@@ -19,8 +19,6 @@ from .linalg import (
     SvdFactorization,
     as_matrix,
     as_vector,
-    col_submatrix,
-    row_submatrix,
     svd_factor,
 )
 
@@ -93,18 +91,26 @@ def random_partition(universe_size: int, n_blocks: int, rng: np.random.Generator
     return Partition(axis=axis, blocks=tuple(blocks), universe_size=universe_size)
 
 
-def _block_submatrix(a: np.ndarray, partition: Partition, k: int) -> np.ndarray:
-    if partition.axis == ROWS:
-        return row_submatrix(a, partition.blocks[k])
-    return col_submatrix(a, partition.blocks[k])
-
-
 def _check_conformal(a: np.ndarray, partition: Partition) -> None:
     extent = a.shape[0] if partition.axis == ROWS else a.shape[1]
     if partition.universe_size != extent:
         raise ValueError(
             f"partition covers {partition.universe_size} indices but matrix has {extent} along axis '{partition.axis}'"
         )
+
+
+def block_submatrices(a: np.ndarray, partition: Partition):
+    """Yield a contiguous copy of each block submatrix of ``partition``, in
+    block order.
+
+    ``a`` is validated once, when the first block is taken; the partition
+    already guarantees disjoint in-range indices, so each block is sliced
+    without further checks.
+    """
+    a = as_matrix(a)
+    _check_conformal(a, partition)
+    for idx in partition.blocks:
+        yield np.ascontiguousarray(a[idx] if partition.axis == ROWS else a[:, idx])
 
 
 def paving_bounds(a: np.ndarray, partition: Partition) -> PavingParams:
@@ -116,13 +122,10 @@ def paving_bounds(a: np.ndarray, partition: Partition) -> PavingParams:
     singular values of the block, padded with zeros when the block Gram matrix
     is rank-deficient by shape.
     """
-    a = as_matrix(a)
-    _check_conformal(a, partition)
     alpha = np.inf
     beta = 0.0
-    for k in range(partition.n_blocks):
-        block = _block_submatrix(a, partition, k)
-        gram_size = len(partition.blocks[k])
+    for idx, block in zip(partition.blocks, block_submatrices(a, partition)):
+        gram_size = len(idx)
         sv = np.linalg.svd(block, compute_uv=False)
         eigs = sv**2
         smallest = 0.0 if gram_size > eigs.size else float(eigs[-1])
@@ -186,6 +189,4 @@ def block_factorizations(
     Partitions are fixed across solver iterations, so precomputing the block
     factorizations is the main performance win of the block methods.
     """
-    a = as_matrix(a)
-    _check_conformal(a, partition)
-    return [svd_factor(_block_submatrix(a, partition, k), rank_tolerance) for k in range(partition.n_blocks)]
+    return [svd_factor(block, rank_tolerance) for block in block_submatrices(a, partition)]

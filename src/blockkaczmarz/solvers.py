@@ -20,9 +20,11 @@ Five methods share one run loop:
     ``b - z``.  Requires both a row and a column partition.
 ``blockcd``
     Block coordinate descent on the least-squares objective: only a column
-    partition is needed.  The residual estimate ``z`` always equals
-    ``b - a @ x`` (up to roundoff), and only the coordinates of the chosen
-    column block change per step.
+    partition is needed, and only the coordinates of the chosen column block
+    change per step.  Steps run on the normal-equations residual
+    ``a^T (b - a x)`` in the column-Gram space, O(d c) each for blocks of
+    ``c`` columns; the residual estimate ``z`` is set to ``b - a @ x`` at
+    the end of every epoch.
 
 A sixth tag ``hybrid`` (single-column projection + row-block update) exists
 only to demonstrate that mismatched projection/update speeds degrade
@@ -45,8 +47,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_matrix, as_vector
-from .paving import COLUMNS, ROWS, Partition, block_factorizations
+from .linalg import SvdFactorization, as_vector, svd_factor
+from .paving import COLUMNS, ROWS, Partition, block_submatrices
 from .systems import LinearSystem
 
 RK = "rk"
@@ -196,13 +198,8 @@ class BlockPlan:
 
 
 def make_block_plan(a: np.ndarray, partition: Partition) -> BlockPlan:
-    a = as_matrix(a)
-    facts = block_factorizations(a, partition)
-    if partition.axis == ROWS:
-        subs = tuple(np.ascontiguousarray(a[idx, :]) for idx in partition.blocks)
-    else:
-        subs = tuple(np.ascontiguousarray(a[:, idx]) for idx in partition.blocks)
-    return BlockPlan(partition=partition, submatrices=subs, factorizations=tuple(facts))
+    subs = tuple(block_submatrices(a, partition))
+    return BlockPlan(partition=partition, submatrices=subs, factorizations=tuple(svd_factor(sub) for sub in subs))
 
 
 def _factors(plan: BlockPlan):
@@ -231,19 +228,66 @@ def _column_update(a, b, cols):
     return update
 
 
-def _descent_update(a, b, cols):
-    """Block coordinate descent: solve column block ``k``'s least-squares problem
-    against ``z``, add the solution to its coordinates of ``x`` and remove its
-    image from ``z``, which keeps ``z == b - a x`` up to roundoff."""
-    ut, _, v, s = _factors(cols)
-    idx, sub = cols.partition.blocks, cols.submatrices
+class _GramDescent:
+    """Block coordinate descent on the least-squares objective, in the
+    column-Gram space (Leventhal & Lewis, 2010).
 
-    def update(k, x, z):
-        w = v[k] @ ((ut[k] @ z) / s[k])
-        x[idx[k]] += w
-        z -= sub[k] @ w
+    A step on column block ``k`` solves the block's least-squares problem
+    against ``z``, adds the solution ``w = pinv(A_k) z`` to the block's
+    coordinates of ``x`` and removes ``A_k w`` from ``z``.  Since
+    ``pinv(A_k) = M_k A_k^T`` with ``M_k = V_r diag(s_r^-2) V_r^T`` (the
+    block's rank cutoff kept), the step needs only ``g = A^T z``.  With the
+    columns in block order, so that block ``k`` is the slice ``j``, it is
+    ``w = M_k g[j]; x[j] += w; g -= w @ G[j]`` for the Gram matrix
+    ``G = A^T A``: O(c d) work on views, against O(n c) for the same step on
+    ``z``.
 
-    return update
+    Each call runs a list of steps: it gathers ``x`` into block order and
+    computes ``g`` from ``z`` first, and scatters ``x`` back and sets
+    ``z = b - a x`` last, so ``g`` drifts for one call at most and ``z``
+    is the residual after every call.  ``M_k`` and ``G`` (O(d^2) memory)
+    are built on the first call.  Without ``a`` (the one-step wrapper), ``a``
+    is assembled from the plan's blocks.
+    """
+
+    def __init__(self, a, b, cols: BlockPlan):
+        blocks = cols.partition.blocks
+        if a is None:
+            a = np.empty((b.shape[0], cols.partition.universe_size))
+            for idx, sub in zip(blocks, cols.submatrices):
+                a[:, idx] = sub
+        self._a, self._b, self._cols = a, b, cols
+        self._perm = np.concatenate(blocks)
+        ends = np.cumsum([len(idx) for idx in blocks]).tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        self._m = self._gram = None
+
+    def _build(self) -> None:
+        gram = self._a.T @ self._a
+        # reorder into block order; mode="clip" lets take write into ``gram``
+        # unbuffered, so no third d x d array is made
+        rows = gram.take(self._perm, axis=0)
+        self._gram = rows.take(self._perm, axis=1, out=gram, mode="clip")
+        # A zero column's entry of g is exactly 0, but its row of V is only
+        # roundoff-small: clear its row of M so its coordinate of x stays 0.
+        dead = np.diagonal(self._gram) == 0
+        _, _, v, s = _factors(self._cols)
+        self._m = [(vk / sk**2) @ vk.T for vk, sk in zip(v, s)]
+        for mk, j in zip(self._m, self._slices):
+            mk[dead[j]] = 0.0
+
+    def __call__(self, ks, x, z) -> None:
+        if self._m is None:
+            self._build()
+        a, perm, m, gram, slices = self._a, self._perm, self._m, self._gram, self._slices
+        xp, g = x[perm], (a.T @ z)[perm]
+        for k in ks:
+            j = slices[k]
+            w = m[k] @ g[j]
+            xp[j] += w
+            g -= w @ gram[j]
+        x[perm] = xp
+        np.subtract(self._b, a @ x, out=z)
 
 
 def _row_update(a, b, rows):
@@ -270,13 +314,14 @@ def _row_update(a, b, rows):
 
 
 # Each method's column side and row side, run in that order within a step.
+# ``blockcd``'s descent side is called once with all of an apply's steps.
 _SKETCH = {
     RK: (None, _row_update),
     REK: (_column_update, _row_update),
     BLOCK: (None, _row_update),
     DOUBLE: (_column_update, _row_update),
     HYBRID: (_column_update, _row_update),
-    BLOCK_CD: (_descent_update, None),
+    BLOCK_CD: (_GramDescent, None),
 }
 
 
@@ -299,6 +344,7 @@ class Kernel:
         self._picks = [pick for _, pick, _ in sides]
         self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
         self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
+        self._descent = method == BLOCK_CD
 
     def draw(self, rng: np.random.Generator, steps: int) -> list[list[int]]:
         """Block indices of ``steps`` steps, one list per side.
@@ -318,7 +364,9 @@ class Kernel:
 
     def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
         """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
-        if len(self._updates) == 1:
+        if self._descent:
+            self._updates[0](indices[0], x, z)
+        elif len(self._updates) == 1:
             update = self._updates[0]
             for k in indices[0]:
                 update(k, x, z)

@@ -68,3 +68,46 @@ def test_least_squares_pair_is_fixed_point(problem, method):
     b_norm = np.linalg.norm(system.b)
     assert np.linalg.norm(z - system.b_perp) <= 1e-10 * b_norm
     assert np.linalg.norm(x - system.x_ls) <= 1e-10 * (np.linalg.norm(system.x_ls) + b_norm / system.spectral.sigma_min_nonzero)
+
+
+@st.composite
+def rank_deficient_columns(draw):
+    """An n x d system with one zero column and one duplicated column, and a
+    column plan over a random partition."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(3, min(n, 10)))
+    p_col = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, d))
+    zero, dup, source = rng.permutation(d)[:3]
+    a[:, zero] = 0.0
+    a[:, dup] = a[:, source]
+    plan = make_block_plan(a, random_partition(d, p_col, rng, axis=COLUMNS))
+    return a, rng.standard_normal(n), plan, zero, rng
+
+
+def reference_descent(plan, ks, x, z):
+    """``blockcd`` steps on ``z`` itself: ``w = V S^-1 U^T z`` over the block's
+    numerical rank, ``x[idx] += w``, ``z -= A_k w``."""
+    for k in ks:
+        f = plan.factorizations[k]
+        r = f.rank
+        w = f.v[:, :r] @ ((f.u[:, :r].T @ z) / f.singular_values[:r])
+        x[plan.block(k)] += w
+        z -= plan.submatrices[k] @ w
+
+
+@PROPERTY_SETTINGS
+@given(rank_deficient_columns())
+def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
+    a, b, plan, zero, rng = problem
+    kernel = Kernel(BLOCK_CD, a, b, cols=plan)
+    x, z = np.zeros(a.shape[1]), b.copy()
+    x_ref, z_ref = x.copy(), z.copy()
+    for _ in range(4):
+        ks = kernel.draw(rng, 2 * plan.n_blocks)
+        kernel.apply(x, z, ks)
+        reference_descent(plan, ks[0], x_ref, z_ref)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * (np.linalg.norm(x_ref) + np.linalg.norm(b))
+        assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(b)
+        assert x[zero] == 0.0

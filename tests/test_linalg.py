@@ -5,72 +5,12 @@ from blockkaczmarz.linalg import (
     as_matrix,
     as_vector,
     col_submatrix,
-    matvec,
-    min_norm_lstsq,
     pinv_apply,
-    rmatvec,
     row_submatrix,
     spectral_summary,
     svd_factor,
 )
 from blockkaczmarz.paving import row_standardize
-
-
-def brute_force_matvec(a, x):
-    n, d = a.shape
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(d):
-            out[i] += a[i, j] * x[j]
-    return out
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), np.array([3.0, -1.0])), [3.0, -1.0])
-
-    def test_zero_matrix_annihilates(self):
-        assert np.array_equal(matvec(np.zeros((2, 2)), np.array([5.0, 7.0])), [0.0, 0.0])
-
-    def test_matches_brute_force(self, rng):
-        a = rng.standard_normal((5, 3))
-        x = rng.standard_normal(3)
-        np.testing.assert_allclose(matvec(a, x), brute_force_matvec(a, x), rtol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matvec(np.eye(2), np.ones(3))
-
-
-class TestRmatvec:
-    def test_identity(self):
-        assert np.array_equal(rmatvec(np.eye(2), np.array([3.0, -1.0])), [3.0, -1.0])
-
-    def test_hand_expansion(self):
-        a = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(rmatvec(a, np.array([1.0, 1.0])), [2.0, 1.0])
-
-    def test_matches_brute_force(self, rng):
-        a = rng.standard_normal((5, 3))
-        y = rng.standard_normal(5)
-        np.testing.assert_allclose(rmatvec(a, y), brute_force_matvec(a.T.copy(), y), rtol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            rmatvec(np.eye(2), np.ones(3))
-
-
-def test_adjointness_property(rng):
-    # <a x, y> == <x, a^T y> up to relative 1e-12
-    for _ in range(20):
-        n, d = rng.integers(1, 12, size=2)
-        a = rng.standard_normal((n, d))
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(n)
-        lhs = np.dot(matvec(a, x), y)
-        rhs = np.dot(x, rmatvec(a, y))
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestSubmatrices:
@@ -176,17 +116,19 @@ class TestPinvApply:
 
 
 class TestMinNormLstsq:
+    """The pseudoinverse applied through an SVD is the minimum-norm least-squares solve."""
+
     def test_identity(self):
-        assert np.allclose(min_norm_lstsq(np.eye(2), np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(pinv_apply(svd_factor(np.eye(2)), np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_symmetric_projection_mean(self):
         a = np.array([[1.0], [1.0]])
-        np.testing.assert_allclose(min_norm_lstsq(a, np.array([0.0, 2.0])), [1.0], atol=1e-14)
+        np.testing.assert_allclose(pinv_apply(svd_factor(a), np.array([0.0, 2.0])), [1.0], atol=1e-14)
 
     def test_residual_orthogonality(self, rng):
         a = rng.standard_normal((20, 10))
         b = rng.standard_normal(20)
-        x = min_norm_lstsq(a, b)
+        x = pinv_apply(svd_factor(a), b)
         sigma_max = np.linalg.svd(a, compute_uv=False)[0]
         assert np.linalg.norm(a.T @ (b - a @ x)) <= 1e-8 * sigma_max * np.linalg.norm(b)
 

@@ -41,6 +41,29 @@ def test_short_matrix_row(tmp_path):
         read_matrix(path)
 
 
+def test_truncated_matrix(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 2\n1 2\n3 4\n")
+    with pytest.raises(ValueError, match="expected 3 rows of 2 entries, got 2 rows"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("body", ["", "1 2\n\n3 4\n"])
+def test_empty_or_blank_matrix_rows(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n" + body)
+    with pytest.raises(ValueError, match="entries"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("token", ["x", "#"])
+def test_non_numeric_matrix_entry(tmp_path, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 2\n1 2\n3 {token}\n")
+    with pytest.raises(ValueError, match="could not convert"):
+        read_matrix(path)
+
+
 def test_bad_vector_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n1\n2\n")

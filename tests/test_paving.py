@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from blockkaczmarz.linalg import min_norm_lstsq
+from blockkaczmarz.linalg import pinv_apply, svd_factor
 from blockkaczmarz.paving import (
     COLUMNS,
     ROWS,
     DiagonalScaling,
     Partition,
     block_factorizations,
+    block_submatrices,
     column_standardize,
     dynamic_range,
     paving_bounds,
@@ -185,9 +186,9 @@ class TestUnscale:
         # direct least-squares solve
         a = rng.standard_normal((15, 6)) * np.exp(rng.standard_normal(6))[None, :]
         b = rng.standard_normal(15)
-        direct = min_norm_lstsq(a, b)
+        direct = pinv_apply(svd_factor(a), b)
         a_std, scaling = column_standardize(a)
-        via_std = unscale_solution(min_norm_lstsq(a_std, b), scaling)
+        via_std = unscale_solution(pinv_apply(svd_factor(a_std), b), scaling)
         assert np.linalg.norm(direct - via_std) <= 1e-8 * max(np.linalg.norm(direct), 1e-30)
 
     def test_dim_mismatch(self):
@@ -216,6 +217,25 @@ class TestDynamicRange:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             dynamic_range(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
+class TestBlockSubmatrices:
+    @pytest.mark.parametrize("axis", [ROWS, COLUMNS])
+    def test_contiguous_copies_in_block_order(self, rng, axis):
+        a = rng.standard_normal((9, 7))
+        p = random_partition(a.shape[0] if axis == ROWS else a.shape[1], 3, rng, axis=axis)
+        blocks = list(block_submatrices(a, p))
+        assert len(blocks) == p.n_blocks
+        for block, idx in zip(blocks, p.blocks):
+            assert np.array_equal(block, a[idx, :] if axis == ROWS else a[:, idx])
+            assert block.flags.c_contiguous and not np.shares_memory(block, a)
+
+    def test_rejects_bad_matrix(self, rng):
+        p = random_partition(4, 2, rng)
+        with pytest.raises(ValueError, match="non-finite"):
+            list(block_submatrices(np.full((4, 2), np.nan), p))
+        with pytest.raises(ValueError, match="partition covers"):
+            list(block_submatrices(np.eye(5), p))
 
 
 class TestBlockFactorizations:
