@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,9 @@ from .systems import make_system
 OUT_ENV_VAR = "BLOCKKACZMARZ_OUT"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="blockkaczmarz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

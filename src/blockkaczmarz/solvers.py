@@ -21,10 +21,10 @@ Five methods share one run loop:
 ``blockcd``
     Block coordinate descent on the least-squares objective: only a column
     partition is needed, and only the coordinates of the chosen column block
-    change per step.  Steps run on the normal-equations residual
-    ``a^T (b - a x)`` in the column-Gram space, O(d c) each for blocks of
-    ``c`` columns; the residual estimate ``z`` is set to ``b - a @ x`` at
-    the end of every epoch.
+    change per step.  Steps run on the blocks' pseudoinverse images of the
+    residual, ``pinv(A_l) (b - a x)``, O(d c) each for blocks of ``c``
+    columns; the residual estimate ``z`` is set to ``b - a @ x`` at the end
+    of every epoch.
 
 A sixth tag ``hybrid`` (single-column projection + row-block update) exists
 only to demonstrate that mismatched projection/update speeds degrade
@@ -228,26 +228,32 @@ def _column_update(a, b, cols):
     return update
 
 
-class _GramDescent:
-    """Block coordinate descent on the least-squares objective, in the
-    column-Gram space (Leventhal & Lewis, 2010).
+class _PinvDescent:
+    """Block coordinate descent on the least-squares objective, run on the
+    block pseudoinverse images of the residual.
 
     A step on column block ``k`` solves the block's least-squares problem
-    against ``z``, adds the solution ``w = pinv(A_k) z`` to the block's
-    coordinates of ``x`` and removes ``A_k w`` from ``z``.  Since
-    ``pinv(A_k) = M_k A_k^T`` with ``M_k = V_r diag(s_r^-2) V_r^T`` (the
-    block's rank cutoff kept), the step needs only ``g = A^T z``.  With the
-    columns in block order, so that block ``k`` is the slice ``j``, it is
-    ``w = M_k g[j]; x[j] += w; g -= w @ G[j]`` for the Gram matrix
-    ``G = A^T A``: O(c d) work on views, against O(n c) for the same step on
-    ``z``.
+    against ``z = b - a x``: it adds ``w = pinv(A_k) z`` to the block's
+    coordinates of ``x`` (the block's rank cutoff kept), which removes
+    ``A_k w`` from ``z``.  So a step needs only ``h = [pinv(A_l) z]_l``,
+    stacked over all blocks, which it updates by ``R[:, j] w`` with
+    ``R = [pinv(A_l) A]_l``.  With the columns in block order, so that
+    block ``k`` is the slice ``j``, and ``C = R^T``, the step is
+    ``w = h[j]; x[j] += w; h -= w @ C[j]``: O(c d) work on views, against
+    O(n c) for the same step on ``z``.
+
+    ``R_lk = V_l S_l^-1 (U_l^T U_k) S_k V_k^T`` is built from the blocks' SVD
+    factors.  The ``U_l`` are orthonormal, so rounding in ``h`` grows by at
+    most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a`` instead,
+    it would grow by ``cond(A_k)^2`` and diverge on nearly collinear blocks.
 
     Each call runs a list of steps: it gathers ``x`` into block order and
-    computes ``g`` from ``z`` first, and scatters ``x`` back and sets
-    ``z = b - a x`` last, so ``g`` drifts for one call at most and ``z``
-    is the residual after every call.  ``M_k`` and ``G`` (O(d^2) memory)
-    are built on the first call.  Without ``a`` (the one-step wrapper), ``a``
-    is assembled from the plan's blocks.
+    computes ``h = h_b - R x`` first, and scatters ``x`` back and sets
+    ``z = b - a x`` last, so ``h`` drifts for one call at most, ``z`` is the
+    residual after every call, and the ``z`` passed in is not read.
+    ``C`` and ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the
+    first call.  Without ``a`` (the one-step wrapper), ``a`` is assembled
+    from the plan's blocks.
     """
 
     def __init__(self, a, b, cols: BlockPlan):
@@ -258,36 +264,51 @@ class _GramDescent:
                 a[:, idx] = sub
         self._a, self._b, self._cols = a, b, cols
         self._perm = np.concatenate(blocks)
-        ends = np.cumsum([len(idx) for idx in blocks]).tolist()
-        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-        self._m = self._gram = None
+        self._slices = _slices([len(idx) for idx in blocks])
+        self._c = self._hb = None
 
     def _build(self) -> None:
-        gram = self._a.T @ self._a
-        # reorder into block order; mode="clip" lets take write into ``gram``
-        # unbuffered, so no third d x d array is made
-        rows = gram.take(self._perm, axis=0)
-        self._gram = rows.take(self._perm, axis=1, out=gram, mode="clip")
-        # A zero column's entry of g is exactly 0, but its row of V is only
-        # roundoff-small: clear its row of M so its coordinate of x stays 0.
-        dead = np.diagonal(self._gram) == 0
-        _, _, v, s = _factors(self._cols)
-        self._m = [(vk / sk**2) @ vk.T for vk, sk in zip(v, s)]
-        for mk, j in zip(self._m, self._slices):
-            mk[dead[j]] = 0.0
+        _, u, v, s = _factors(self._cols)
+        ranks = _slices([sk.size for sk in s])
+        left, right = [], []
+        for sub, vk, sk in zip(self._cols.submatrices, v, s):
+            # A zero column's row of V is only roundoff-small: clear it, so
+            # that coordinate of x stays exactly 0.
+            vk = np.where(sub.any(axis=0)[:, None], vk, 0.0)
+            left.append(vk / sk)
+            right.append(vk * sk)
+        # overlap[r_l, r_k] = U_l^T U_k; half[:, j_l] = overlap[:, r_l] S_l^-1 V_l^T
+        ut = np.concatenate(u, axis=1)
+        overlap, utb = ut.T @ ut, ut.T @ self._b
+        del ut  # n x d: free it before the d x d arrays
+        d = self._perm.size
+        half = np.empty((overlap.shape[0], d))
+        for j, r, lk in zip(self._slices, ranks, left):
+            half[:, j] = overlap[:, r] @ lk.T
+        self._c, self._hb = np.empty((d, d)), np.empty(d)
+        for j, r, lk, rk in zip(self._slices, ranks, left, right):
+            self._c[j] = rk @ half[r]
+            self._hb[j] = lk @ utb[r]
 
     def __call__(self, ks, x, z) -> None:
-        if self._m is None:
+        if self._c is None:
             self._build()
-        a, perm, m, gram, slices = self._a, self._perm, self._m, self._gram, self._slices
-        xp, g = x[perm], (a.T @ z)[perm]
+        perm, c, slices = self._perm, self._c, self._slices
+        xp = x[perm]
+        h = self._hb - xp @ c
         for k in ks:
             j = slices[k]
-            w = m[k] @ g[j]
+            w = h[j].copy()
             xp[j] += w
-            g -= w @ gram[j]
+            h -= w @ c[j]
         x[perm] = xp
-        np.subtract(self._b, a @ x, out=z)
+        np.subtract(self._b, self._a @ x, out=z)
+
+
+def _slices(sizes) -> list[slice]:
+    """Consecutive slices of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
 def _row_update(a, b, rows):
@@ -321,7 +342,7 @@ _SKETCH = {
     BLOCK: (None, _row_update),
     DOUBLE: (_column_update, _row_update),
     HYBRID: (_column_update, _row_update),
-    BLOCK_CD: (_GramDescent, None),
+    BLOCK_CD: (_PinvDescent, None),
 }
 
 
@@ -414,8 +435,13 @@ def double_block_step(state, b, row_plan: BlockPlan, col_plan: BlockPlan, rng,
 
 
 def block_cd_step(state, b, col_plan: BlockPlan, rng, block_index: int | None = None) -> SolverState:
-    """One ``blockcd`` step on a uniformly drawn column block; keeps ``z == b - a @ x``
-    up to roundoff."""
+    """One ``blockcd`` step on a uniformly drawn column block.
+
+    The step reads ``state.x`` only: the ``z`` it returns is recomputed as
+    ``b - a @ x``, which is ``z - A_k w`` when the given ``z`` is
+    ``b - a @ x``.  Each call assembles the n x d matrix from the plan's blocks
+    and builds the O(d^2) descent arrays, O(n d^2) work; :func:`run` builds
+    them once per run."""
     return Kernel(BLOCK_CD, None, b, cols=col_plan).step(state, rng, block_index)
 
 

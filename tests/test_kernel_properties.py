@@ -72,16 +72,18 @@ def test_least_squares_pair_is_fixed_point(problem, method):
 
 @st.composite
 def rank_deficient_columns(draw):
-    """An n x d system with one zero column and one duplicated column, and a
-    column plan over a random partition."""
+    """An n x d system with one zero column, one duplicated column and one
+    nearly duplicated column, and a column plan over a random partition."""
     n = draw(st.integers(4, 30))
-    d = draw(st.integers(3, min(n, 10)))
+    d = draw(st.integers(4, min(n, 10)))
     p_col = draw(st.integers(1, d))
+    spread = draw(st.sampled_from([1e-3, 1e-6, 1e-8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal((n, d))
-    zero, dup, source = rng.permutation(d)[:3]
+    zero, dup, near, source = rng.permutation(d)[:4]
     a[:, zero] = 0.0
     a[:, dup] = a[:, source]
+    a[:, near] = a[:, source] + spread * rng.standard_normal(n)
     plan = make_block_plan(a, random_partition(d, p_col, rng, axis=COLUMNS))
     return a, rng.standard_normal(n), plan, zero, rng
 
@@ -101,6 +103,10 @@ def reference_descent(plan, ks, x, z):
 @given(rank_deficient_columns())
 def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
     a, b, plan, zero, rng = problem
+    # Both paths lose accuracy in proportion to the worst block's condition
+    # number over its numerical rank (up to ~1e8 here, from the near duplicate).
+    facts = [f for f in plan.factorizations if f.rank]
+    tol = 1e-12 * max(f.singular_values[0] / f.singular_values[f.rank - 1] for f in facts)
     kernel = Kernel(BLOCK_CD, a, b, cols=plan)
     x, z = np.zeros(a.shape[1]), b.copy()
     x_ref, z_ref = x.copy(), z.copy()
@@ -108,6 +114,6 @@ def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
         ks = kernel.draw(rng, 2 * plan.n_blocks)
         kernel.apply(x, z, ks)
         reference_descent(plan, ks[0], x_ref, z_ref)
-        assert np.linalg.norm(x - x_ref) <= 1e-10 * (np.linalg.norm(x_ref) + np.linalg.norm(b))
-        assert np.linalg.norm(z - z_ref) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(x_ref) + np.linalg.norm(b))
+        assert np.linalg.norm(z - z_ref) <= tol * np.linalg.norm(b)
         assert x[zero] == 0.0

@@ -390,15 +390,15 @@ class TestRun:
         trace = run(sys_, MethodConfig(RK, seed=0), StopRule(max_epochs=0, error_threshold=1e-12))
         assert len(trace.rows) == 1
 
-    def test_blockcd_builds_gram_only_when_an_epoch_runs(self, rng, monkeypatch):
+    def test_blockcd_builds_descent_arrays_only_when_an_epoch_runs(self, rng, monkeypatch):
         def fail(self):
-            raise AssertionError("Gram arrays built")
+            raise AssertionError("descent arrays built")
 
-        monkeypatch.setattr(solvers._GramDescent, "_build", fail)
+        monkeypatch.setattr(solvers._PinvDescent, "_build", fail)
         sys_ = small_system(rng, inconsistent=True)
         config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
         assert len(run(sys_, config, StopRule(max_epochs=0, error_threshold=1e-12)).rows) == 1
-        with pytest.raises(AssertionError, match="Gram"):
+        with pytest.raises(AssertionError, match="descent arrays"):
             run(sys_, config, StopRule(max_epochs=1, error_threshold=1e-12))
 
     def test_deterministic_replay(self, rng):
