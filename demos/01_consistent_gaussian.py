@@ -34,7 +34,7 @@ def main():
         MethodSetting("double", row_blocks=30, col_blocks=10),
         MethodSetting("blockcd", col_blocks=10),
     ]
-    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=300, error_threshold=1e-6))
+    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=300, error_threshold=1e-6)).records
     bands = aggregate_bands(records)
 
     print(f"consistent 300x100 Gaussian, {TRIALS} trials, success threshold 1e-6")

@@ -42,7 +42,7 @@ def main():
         MethodSetting("double", row_blocks=30, col_blocks=10),
         MethodSetting("blockcd", col_blocks=10),
     ]
-    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=200, error_threshold=1e-6))
+    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=200, error_threshold=1e-6)).records
     bands = aggregate_bands(records)
     for name, b in bands.items():
         print(f"  {name:8s} median error at last epoch {b.median[-1]:.2e} (epoch {int(b.epochs[-1])})")

@@ -35,7 +35,7 @@ def main():
         MethodSetting("rek"),
         MethodSetting("blockcd", label="blockcd-std", col_blocks=10, standardize_columns=True),
     ]
-    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=400, error_threshold=1e-6))
+    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=400, error_threshold=1e-6)).records
     bands = aggregate_bands(records)
     for name, b in bands.items():
         print(f"  {name:12s} median final error {b.median[-1]:.2e} after {int(b.epochs[-1])} epochs")

@@ -34,7 +34,7 @@ def main():
     methods = [
         MethodSetting("blockcd", label=f"blockcd-p{p}", col_blocks=p) for p in (10, 20, 40)
     ]
-    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=300, error_threshold=1e-6))
+    records = run_experiment(spec, methods, trials=TRIALS, stop=StopRule(max_epochs=300, error_threshold=1e-6)).records
     bands = aggregate_bands(records)
     for name, b in bands.items():
         print(f"  {name:12s} median final error {b.median[-1]:.2e} after {int(b.epochs[-1])} epochs")

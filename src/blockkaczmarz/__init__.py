@@ -11,9 +11,7 @@ method, and a seeded benchmark harness.
 from .linalg import (
     SpectralSummary,
     SvdFactorization,
-    col_submatrix,
     pinv_apply,
-    row_submatrix,
     spectral_summary,
     svd_factor,
 )
@@ -24,7 +22,6 @@ from .paving import (
     DiagonalScaling,
     Partition,
     PavingParams,
-    block_factorizations,
     column_standardize,
     dynamic_range,
     paving_bounds,
@@ -76,6 +73,7 @@ from .theory import (
 )
 from .harness import (
     Bands,
+    Experiment,
     ExperimentRecord,
     MethodSetting,
     PRESETS,

@@ -116,14 +116,14 @@ def _cmd_experiment(args) -> int:
         col_blocks=args.col_blocks,
         include_hybrid=args.include_hybrid,
     )
-    records = run_experiment(preset.spec, list(preset.methods), args.trials, preset.stop)
-    bands = aggregate_bands(records)
-    write_csv(records, out_dir / "trace.csv")
+    experiment = run_experiment(preset.spec, list(preset.methods), args.trials, preset.stop)
+    bands = aggregate_bands(experiment.records)
+    write_csv(experiment.records, out_dir / "trace.csv")
     write_csv(bands, out_dir / "bands.csv")
     write_svg_plot(bands, out_dir / "bands_epoch.svg", x_axis="epoch", title=f"{args.preset}: error vs epochs")
     write_svg_plot(bands, out_dir / "bands_cpu.svg", x_axis="cpu_seconds", title=f"{args.preset}: error vs CPU time")
     grid = {name: int(bands[name].epochs.max()) for name in bands}
-    envelopes = compute_envelopes(preset.spec, list(preset.methods), grid)
+    envelopes = compute_envelopes(experiment.arms, grid)
     write_envelopes_csv(envelopes, out_dir / "envelopes.csv")
     for name in bands:
         b = bands[name]

@@ -195,24 +195,37 @@ def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: in
     return PreparedMethod(setting, solve_system, row_partition, col_partition, error_fn, system)
 
 
+@dataclass
+class Experiment:
+    """One experiment: its system, the method arms prepared on it, and the
+    record of every trial, arm by arm."""
+
+    system: LinearSystem
+    arms: list[PreparedMethod]
+    records: list[ExperimentRecord]
+
+
 def run_experiment(
     spec: ProblemSpec,
     methods: list[MethodSetting],
     trials: int,
     stop: StopRule,
-) -> list[ExperimentRecord]:
+) -> Experiment:
     """Generate one system and run ``trials`` seeded runs of every method arm.
 
     Deterministic apart from CPU timings: the system comes from
     ``spec.seed``, partitions and per-trial streams from seeds derived via
-    :func:`derive_seed`.
+    :func:`derive_seed`.  The returned arms are what
+    :func:`compute_envelopes` evaluates, so the system is generated once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     system = generate_system(spec)
+    arms: list[PreparedMethod] = []
     records: list[ExperimentRecord] = []
     for setting in methods:
         prep = prepare_method(system, setting, spec.seed)
+        arms.append(prep)
         for trial in range(trials):
             config = MethodConfig(
                 method=setting.method,
@@ -222,7 +235,7 @@ def run_experiment(
             )
             trace = run(prep.solve_system, config, stop, error_fn=prep.error_fn)
             records.append(ExperimentRecord(method=setting.name, trial=trial, trace=trace))
-    return records
+    return Experiment(system=system, arms=arms, records=records)
 
 
 @dataclass
@@ -319,21 +332,21 @@ class EnvelopeRow:
     value: float
 
 
-def compute_envelopes(
-    spec: ProblemSpec, methods: list[MethodSetting], max_epochs: dict[str, int]
-) -> list[EnvelopeRow]:
-    """Evaluate the applicable theoretical envelope for each method arm.
+def compute_envelopes(arms: list[PreparedMethod], max_epochs: dict[str, int]) -> list[EnvelopeRow]:
+    """Evaluate the applicable theoretical envelope for each prepared arm.
 
-    Envelopes on expected squared error are tagged ``error_l2_sq``; the plain
-    row method's bound is on the expected error itself (``error_l2``).  The
-    plain block method has no evaluable rate (its rate constant is only known
-    up to an unspecified absolute constant), so only its plateau term is
-    emitted.  Methods without a bound are skipped.
+    ``arms`` are the arms an experiment ran (:attr:`Experiment.arms`), so the
+    envelopes use the systems and partitions the trials used.  Envelopes on
+    expected squared error are tagged ``error_l2_sq``; the plain row method's
+    bound is on the expected error itself (``error_l2``).  The plain block
+    method has no evaluable rate (its rate constant is only known up to an
+    unspecified absolute constant), so only its plateau term is emitted.
+    Methods without a bound, and arms missing from ``max_epochs``, are
+    skipped.
     """
-    system = generate_system(spec)
     rows: list[EnvelopeRow] = []
-    for setting in methods:
-        prep = prepare_method(system, setting, spec.seed)
+    for prep in arms:
+        setting = prep.setting
         solve = prep.solve_system
         n_epochs = max_epochs.get(setting.name)
         if n_epochs is None:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_RANK_TOLERANCE,
-    SvdFactorization,
-    as_matrix,
-    as_vector,
-    svd_factor,
-)
+from .linalg import as_matrix, as_vector
 
 ROWS = "rows"
 COLUMNS = "columns"
@@ -180,13 +174,3 @@ def dynamic_range(a: np.ndarray) -> float:
         raise ValueError(f"dynamic range undefined: row {int(np.argmin(sq))} is zero")
     return float(sq.max()) / smallest
 
-
-def block_factorizations(
-    a: np.ndarray, partition: Partition, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
-) -> list[SvdFactorization]:
-    """SVD-factor every block submatrix of ``partition`` once, for reuse.
-
-    Partitions are fixed across solver iterations, so precomputing the block
-    factorizations is the main performance win of the block methods.
-    """
-    return [svd_factor(block, rank_tolerance) for block in block_submatrices(a, partition)]

@@ -521,6 +521,8 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     solver_cpu = 0.0
 
     error_based = error_fn is not None or system.x_ls is not None
+    # blockcd's z is b - a x exactly: at x = 0 and after every apply
+    residual_in_z = method == BLOCK_CD
 
     def record(epoch: int) -> float:
         if error_fn is not None:
@@ -529,7 +531,7 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
             err = float(np.linalg.norm(x - system.x_ls))
         else:
             err = float("nan")
-        resid = float(np.linalg.norm(b - a @ x))
+        resid = float(np.linalg.norm(z if residual_in_z else b - a @ x))
         z_err = None
         if z is not None and system.b_perp is not None:
             z_err = float(np.linalg.norm(z - system.b_perp))

@@ -19,6 +19,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     pinv_apply,
+    summarize_factorization,
     svd_factor,
 )
 
@@ -68,19 +69,7 @@ def make_system(
     if not with_oracle:
         return LinearSystem(a=a, b=b, x_ls=None, spectral=None, b_range=None, b_perp=None)
     fact = svd_factor(a, rank_tolerance)
-    if fact.rank == 0:
-        raise ValueError("cannot build a system on the zero matrix")
+    spectral = summarize_factorization(a, fact)
     x_ls = pinv_apply(fact, b)
     b_range = a @ x_ls
-    s = fact.singular_values
-    sigma_max = float(s[0])
-    sigma_min = float(s[fact.rank - 1])
-    fro = float(np.linalg.norm(a))
-    spectral = SpectralSummary(
-        sigma_min_nonzero=sigma_min,
-        sigma_max=sigma_max,
-        frobenius=fro,
-        condition=sigma_max / sigma_min,
-        scaled_condition=fro / sigma_min,
-    )
     return LinearSystem(a=a, b=b, x_ls=x_ls, spectral=spectral, b_range=b_range, b_perp=b - b_range)

@@ -45,69 +45,78 @@ def line_pixel_intersections(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact intersection lengths of the segment ``p0 -> p1`` with each pixel.
 
-    Uses the parametric grid-crossing construction: gather the parameter
-    values where the segment crosses interior grid lines, then attribute each
-    sub-interval to the pixel containing its midpoint.
-
     Returns
     -------
     (indices, lengths)
-        Flat pixel indices and the matching positive intersection lengths;
-        both empty if the segment is degenerate.
+        Flat pixel indices and the matching positive intersection lengths,
+        in order along the segment; both empty if the segment is degenerate.
     """
     if n_grid < 1:
         raise ValueError("n_grid must be positive")
-    x0, y0 = p0
-    x1, y1 = p1
+    (x0, y0), (x1, y1) = p0, p1
+    _, indices, lengths = _ray_crossings(*np.array([[x0], [y0], [x1], [y1]], dtype=float), n_grid)
+    return indices, lengths
+
+
+def _ray_crossings(x0, y0, x1, y1, n_grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel intersections of the segments ``(x0, y0) -> (x1, y1)``, all rays at once.
+
+    The parametric grid-crossing construction: per ray, the parameters in
+    ``(0, 1)`` where the segment crosses an interior grid line, together with
+    0 and 1, are sorted (padded with ``inf`` to a common width), and each
+    sub-interval longer than ``_TINY`` is attributed to the pixel containing
+    its midpoint.  Segments of length ``<= _TINY`` give nothing.
+
+    Returns ``(rays, indices, lengths)``: for each sub-interval, its ray, its
+    flat pixel index and its length, ray by ray and in order along each ray.
+    """
     dx, dy = x1 - x0, y1 - y0
-    length = float(np.hypot(dx, dy))
-    if length <= _TINY:
-        return np.empty(0, dtype=int), np.empty(0)
-
-    ts = [0.0, 1.0]
-    if dx != 0.0:
-        k = np.arange(1, n_grid)
-        cand = (k - x0) / dx
-        ts.extend(cand[(cand > 0.0) & (cand < 1.0)].tolist())
-    if dy != 0.0:
-        k = np.arange(1, n_grid)
-        cand = (k - y0) / dy
-        ts.extend(cand[(cand > 0.0) & (cand < 1.0)].tolist())
-    ts = np.array(sorted(ts))
-
-    indices = []
-    lengths = []
-    for t_a, t_b in zip(ts[:-1], ts[1:]):
+    length = np.hypot(dx, dy)
+    k = np.arange(1, n_grid)
+    ts = np.full((x0.size, 2 * n_grid), np.inf)
+    ts[:, 0], ts[:, 1] = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col, start, delta in ((2, x0, dx), (n_grid + 1, y0, dy)):
+            cand = (k - start[:, None]) / delta[:, None]
+            ts[:, col:col + n_grid - 1] = np.where((cand > 0.0) & (cand < 1.0), cand, np.inf)
+    ts.sort(axis=1)
+    t_a, t_b = ts[:, :-1], ts[:, 1:]
+    with np.errstate(invalid="ignore"):
         dt = t_b - t_a
-        if dt <= _TINY:
-            continue
-        t_mid = 0.5 * (t_a + t_b)
-        ix = min(max(int(np.floor(x0 + t_mid * dx)), 0), n_grid - 1)
-        iy = min(max(int(np.floor(y0 + t_mid * dy)), 0), n_grid - 1)
-        indices.append(iy * n_grid + ix)
-        lengths.append(dt * length)
-    return np.array(indices, dtype=int), np.array(lengths)
+        keep = np.isfinite(t_b) & (dt > _TINY) & (length > _TINY)[:, None]
+    rays, seg = np.nonzero(keep)
+    dt = dt[rays, seg]
+    t_mid = 0.5 * (t_a[rays, seg] + t_b[rays, seg])
+    ix = np.clip(np.floor(x0[rays] + t_mid * dx[rays]).astype(int), 0, n_grid - 1)
+    iy = np.clip(np.floor(y0[rays] + t_mid * dy[rays]).astype(int), 0, n_grid - 1)
+    return rays, iy * n_grid + ix, dt * length[rays]
 
 
 def build_ray_matrix(n_grid: int, oversampling: int, rng: np.random.Generator) -> np.ndarray:
     """Dense ``(oversampling * n_grid**2, n_grid**2)`` matrix of random-ray rows.
 
-    Rays whose intersection with the grid is (numerically) empty are redrawn,
-    so every row is nonzero.
+    Chords are drawn one by one with :func:`random_chord`, and a chord of
+    length ``<= _TINY`` is redrawn at once, so every row is nonzero.  A
+    chord's intersection lengths sum to its length to within about
+    ``2 * n_grid * 1e-12`` relative, so this is the rule "redraw a ray whose
+    intersection with the grid is (numerically) empty".  The crossings of all
+    rays are then computed in one vectorized pass.
     """
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
     if oversampling < 1:
         raise ValueError("oversampling must be at least 1")
     n_rows = oversampling * n_grid**2
-    a = np.zeros((n_rows, n_grid**2))
+    ends = np.empty((n_rows, 4))
     for r in range(n_rows):
         while True:
-            p0, p1 = random_chord(n_grid, rng)
-            idx, lengths = line_pixel_intersections(p0, p1, n_grid)
-            if lengths.size and lengths.sum() > _TINY:
-                a[r, idx] = lengths
+            (x0, y0), (x1, y1) = random_chord(n_grid, rng)
+            if np.hypot(x1 - x0, y1 - y0) > _TINY:
+                ends[r] = x0, y0, x1, y1
                 break
+    rays, indices, lengths = _ray_crossings(*ends.T, n_grid)
+    a = np.zeros((n_rows, n_grid**2))
+    a[rays, indices] = lengths
     return a
 
 

@@ -26,7 +26,6 @@ from blockkaczmarz.harness import (
     MethodSetting,
     ProblemSpec,
     gen_inconsistent,
-    generate_system,
     run_experiment,
 )
 from blockkaczmarz.matio import write_matrix, write_vector
@@ -156,16 +155,16 @@ def test_criterion_05_convergence_horizon_break():
     spec = ProblemSpec(kind=GAUSSIAN_INCONSISTENT, n=300, d=100, residual_norm=0.5, seed=0)
     trials = 40
 
-    block_recs = run_experiment(spec, [MethodSetting("block", row_blocks=30)], trials, StopRule(200, 1e-6))
+    block_recs = run_experiment(spec, [MethodSetting("block", row_blocks=30)], trials, StopRule(200, 1e-6)).records
     block_median = float(np.median([error_at_epoch(r.trace, 200) for r in block_recs]))
 
     double_recs = run_experiment(
         spec, [MethodSetting("double", row_blocks=30, col_blocks=10)], trials, StopRule(600, 1e-6)
-    )
+    ).records
     double_median_200 = float(np.median([error_at_epoch(r.trace, 200) for r in double_recs]))
     double_all_success = all(r.trace.converged and r.trace.final_epoch <= 600 for r in double_recs)
 
-    blockcd_recs = run_experiment(spec, [MethodSetting("blockcd", col_blocks=10)], trials, StopRule(600, 1e-6))
+    blockcd_recs = run_experiment(spec, [MethodSetting("blockcd", col_blocks=10)], trials, StopRule(600, 1e-6)).records
     blockcd_median_200 = float(np.median([error_at_epoch(r.trace, 200) for r in blockcd_recs]))
 
     elapsed = time.perf_counter() - t0
@@ -197,7 +196,7 @@ def test_criterion_06_consistent_case_success():
         MethodSetting("double", row_blocks=30, col_blocks=10),
         MethodSetting("blockcd", col_blocks=10),
     ]
-    recs = run_experiment(spec, methods, trials=40, stop=StopRule(400, 1e-6))
+    recs = run_experiment(spec, methods, trials=40, stop=StopRule(400, 1e-6)).records
     by = {}
     for r in recs:
         by.setdefault(r.method, []).append(r.trace)
@@ -255,7 +254,7 @@ def test_criterion_08_dynamic_range_preset():
         [MethodSetting("blockcd", col_blocks=10, standardize_columns=True)],
         trials=40,
         stop=StopRule(600, 1e-4),
-    )
+    ).records
     median_final = float(np.median([r.trace.final_error for r in recs]))
     elapsed = time.perf_counter() - t0
     ok = median_final < 1e-4 and elapsed <= 180.0
@@ -276,12 +275,12 @@ def test_criterion_09_tomography_preset():
     window, so this test is expected to fail until the window is revisited.
     """
     spec = ProblemSpec(kind=TOMOGRAPHY, tomo_n=20, tomo_f=3, seed=0)
-    system = generate_system(spec)
+    experiment = run_experiment(spec, [MethodSetting("blockcd", col_blocks=10)], trials=40, stop=StopRule(300, 1e-6))
+    system = experiment.system
     shape_ok = system.a.shape == (1200, 400)
     kappa = system.spectral.condition
 
-    recs = run_experiment(spec, [MethodSetting("blockcd", col_blocks=10)], trials=40, stop=StopRule(300, 1e-6))
-    median_final = float(np.median([r.trace.final_error for r in recs]))
+    median_final = float(np.median([r.trace.final_error for r in experiment.records]))
     solver_ok = median_final <= 1e-6
 
     kappa_ok = 1.3 <= kappa <= 4.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockkaczmarz import harness
 from blockkaczmarz.cli import main
 from blockkaczmarz.harness import derive_seed
 from blockkaczmarz.matio import write_matrix, write_vector
@@ -114,6 +115,23 @@ class TestExperiment:
         )
         assert (flag_dir / "trace.csv").exists()
         assert not env_dir.exists()
+
+    @pytest.mark.parametrize("preset, solve_systems", [("fig2", 1), ("figd", 2), ("fig4", 1)])
+    def test_system_generated_once(self, preset, solve_systems, tmp_path, monkeypatch, capsys):
+        # figd solves a column-standardized copy of its system: two solve systems
+        calls = dict.fromkeys(("generate_system", "make_system", "build_ray_matrix"), 0)
+        for name in calls:
+            real = getattr(harness, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        args = ["experiment", "--preset", preset, "--trials", "2", "--max-epochs", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "envelopes.csv").read_text().count("\n") > 1
+        assert calls == {"generate_system": 1, "make_system": solve_systems, "build_ray_matrix": int(preset == "fig4")}
 
     def test_include_hybrid_arm(self, tmp_path, capsys):
         out = tmp_path / "hyb"

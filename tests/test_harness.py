@@ -20,6 +20,7 @@ from blockkaczmarz.harness import (
     gen_inconsistent,
     generate_system,
     make_preset,
+    prepare_method,
     run_experiment,
     write_csv,
     write_envelopes_csv,
@@ -153,12 +154,12 @@ def tiny_spec(seed=0):
 
 class TestRunExperiment:
     def test_epoch_zero_only_when_budget_zero(self):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=1, stop=StopRule(0, 1e-6))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=1, stop=StopRule(0, 1e-6)).records
         assert len(recs) == 1
         assert [r.epoch for r in recs[0].trace.rows] == [0]
 
     def test_default_trial_count(self):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rk")], trials=40, stop=StopRule(1, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rk")], trials=40, stop=StopRule(1, 1e-300)).records
         assert len(recs) == 40
         assert sorted(r.trial for r in recs) == list(range(40))
 
@@ -167,7 +168,7 @@ class TestRunExperiment:
         stop = StopRule(30, 1e-8)
         paths = []
         for k in range(2):
-            recs = run_experiment(tiny_spec(5), methods, trials=3, stop=stop)
+            recs = run_experiment(tiny_spec(5), methods, trials=3, stop=stop).records
             p = tmp_path / f"t{k}.csv"
             write_csv(recs, p)
             paths.append(p)
@@ -179,14 +180,14 @@ class TestRunExperiment:
 
     def test_standardized_arm_reports_original_coordinates(self):
         spec = ProblemSpec(kind=GAUSSIAN_DYNAMIC, n=30, d=8, residual_norm=0.5, seed=3)
-        recs = run_experiment(
+        experiment = run_experiment(
             spec,
             [MethodSetting("blockcd", col_blocks=4, standardize_columns=True)],
             trials=1,
             stop=StopRule(300, 1e-6),
         )
-        trace = recs[0].trace
-        system = generate_system(spec)
+        trace = experiment.records[0].trace
+        system = experiment.system
         assert trace.converged
         assert trace.final_error <= 1e-6
         # the iterate lives in standardized coordinates; unscaling it must
@@ -200,19 +201,19 @@ class TestRunExperiment:
     def test_hybrid_arm_runs(self):
         recs = run_experiment(
             tiny_spec(), [MethodSetting("hybrid", row_blocks=4)], trials=1, stop=StopRule(5, 1e-300)
-        )
+        ).records
         assert recs[0].trace.rows[-1].epoch == 5
 
 
 class TestAggregateBands:
     def test_single_record_collapses(self):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=1, stop=StopRule(4, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=1, stop=StopRule(4, 1e-300)).records
         bands = aggregate_bands(recs)["rek"]
         assert np.array_equal(bands.median, bands.lo)
         assert np.array_equal(bands.median, bands.hi)
 
     def test_two_records_midpoint_median(self):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=2, stop=StopRule(4, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=2, stop=StopRule(4, 1e-300)).records
         bands = aggregate_bands(recs)["rek"]
         e0 = [r.trace.rows[2].error_l2 for r in recs]
         assert bands.median[2] == pytest.approx(0.5 * (e0[0] + e0[1]))
@@ -220,7 +221,7 @@ class TestAggregateBands:
     def test_band_contains_every_trace(self):
         recs = run_experiment(
             tiny_spec(), [MethodSetting("blockcd", col_blocks=3)], trials=40, stop=StopRule(60, 1e-6)
-        )
+        ).records
         bands = aggregate_bands(recs)["blockcd"]
         for rec in recs:
             errors = [row.error_l2 for row in rec.trace.rows]
@@ -231,7 +232,7 @@ class TestAggregateBands:
     def test_padding_flagged(self):
         recs = run_experiment(
             tiny_spec(), [MethodSetting("blockcd", col_blocks=3)], trials=8, stop=StopRule(60, 1e-6)
-        )
+        ).records
         lengths = {len(r.trace.rows) for r in recs}
         bands = aggregate_bands(recs)["blockcd"]
         if len(lengths) > 1:
@@ -249,7 +250,7 @@ class TestWriteCsv:
         assert path.read_text() == TRACE_HEADER + "\n"
 
     def test_line_count(self, tmp_path):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=1, stop=StopRule(2, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=1, stop=StopRule(2, 1e-300)).records
         path = tmp_path / "t.csv"
         write_csv(recs, path)
         lines = path.read_text().splitlines()
@@ -257,7 +258,7 @@ class TestWriteCsv:
         assert lines[0] == TRACE_HEADER
 
     def test_roundtrip_values(self, tmp_path):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=2, stop=StopRule(3, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=2, stop=StopRule(3, 1e-300)).records
         path = tmp_path / "t.csv"
         write_csv(recs, path)
         lines = path.read_text().splitlines()[1:]
@@ -272,19 +273,30 @@ class TestWriteCsv:
                 k += 1
 
     def test_z_error_blank_for_rk(self, tmp_path):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rk")], trials=1, stop=StopRule(1, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rk")], trials=1, stop=StopRule(1, 1e-300)).records
         path = tmp_path / "t.csv"
         write_csv(recs, path)
         line = path.read_text().splitlines()[1]
         assert line.split(",")[5] == ""
 
     def test_bands_schema(self, tmp_path):
-        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=2, stop=StopRule(2, 1e-300))
+        recs = run_experiment(tiny_spec(), [MethodSetting("rek")], trials=2, stop=StopRule(2, 1e-300)).records
         path = tmp_path / "b.csv"
         write_csv(aggregate_bands(recs), path)
         lines = path.read_text().splitlines()
         assert lines[0] == BANDS_HEADER
         assert len(lines) == 4
+
+
+def envelopes_from_spec(spec, methods, max_epochs):
+    """Reference: envelopes on a system generated again from ``spec``, with
+    every arm prepared afresh (how envelopes were once computed)."""
+    system = generate_system(spec)
+    return compute_envelopes([prepare_method(system, m, spec.seed) for m in methods], max_epochs)
+
+
+def prepared_arms(spec, methods):
+    return run_experiment(spec, methods, trials=1, stop=StopRule(0, 1e-6)).arms
 
 
 class TestEnvelopes:
@@ -298,7 +310,7 @@ class TestEnvelopes:
             MethodSetting("blockcd", col_blocks=3),
             MethodSetting("hybrid", row_blocks=4),
         ]
-        rows = compute_envelopes(spec, methods, {m.name: 5 for m in methods})
+        rows = compute_envelopes(prepared_arms(spec, methods), {m.name: 5 for m in methods})
         by_method = {}
         for r in rows:
             by_method.setdefault(r.method, []).append(r)
@@ -313,9 +325,29 @@ class TestEnvelopes:
         assert {r.metric for r in by_method["rk"]} == {"error_l2"}
         assert {r.metric for r in by_method["rek"]} == {"error_l2_sq"}
 
+    def test_experiment_arms_match_the_spec_path(self):
+        spec = ProblemSpec(kind=GAUSSIAN_DYNAMIC, n=30, d=8, residual_norm=0.5, seed=3)
+        methods = [
+            MethodSetting("rek"),
+            MethodSetting("rk"),
+            MethodSetting("block", row_blocks=4),
+            MethodSetting("double", row_blocks=4, col_blocks=3),
+            MethodSetting("blockcd", col_blocks=3),
+            MethodSetting("blockcd", label="blockcd-std", col_blocks=3, standardize_columns=True),
+        ]
+        grid = {m.name: 4 for m in methods}
+        experiment = run_experiment(spec, methods, trials=2, stop=StopRule(3, 1e-300))
+        assert all(arm.base_system is experiment.system for arm in experiment.arms)
+        rows = compute_envelopes(experiment.arms, grid)
+        assert {r.method for r in rows} == set(grid)
+        assert rows == envelopes_from_spec(spec, methods, grid)
+
+    def test_arms_missing_from_the_grid_are_skipped(self):
+        arms = prepared_arms(tiny_spec(), [MethodSetting("rek"), MethodSetting("rk")])
+        assert {r.method for r in compute_envelopes(arms, {"rk": 2})} == {"rk"}
+
     def test_envelope_csv(self, tmp_path):
-        spec = tiny_spec()
-        rows = compute_envelopes(spec, [MethodSetting("rek")], {"rek": 3})
+        rows = compute_envelopes(prepared_arms(tiny_spec(), [MethodSetting("rek")]), {"rek": 3})
         path = tmp_path / "e.csv"
         write_envelopes_csv(rows, path)
         lines = path.read_text().splitlines()

@@ -7,7 +7,6 @@ from blockkaczmarz.paving import (
     ROWS,
     DiagonalScaling,
     Partition,
-    block_factorizations,
     block_submatrices,
     column_standardize,
     dynamic_range,
@@ -236,34 +235,3 @@ class TestBlockSubmatrices:
             list(block_submatrices(np.full((4, 2), np.nan), p))
         with pytest.raises(ValueError, match="partition covers"):
             list(block_submatrices(np.eye(5), p))
-
-
-class TestBlockFactorizations:
-    def test_identity_blocks(self, rng):
-        p = random_partition(4, 2, rng)
-        facts = block_factorizations(np.eye(4), p)
-        for f in facts:
-            np.testing.assert_allclose(f.singular_values, np.ones(len(f.singular_values)), atol=1e-14)
-
-    def test_single_block_is_whole_matrix(self, rng):
-        a = rng.standard_normal((5, 3))
-        p = Partition(axis=ROWS, blocks=(np.arange(5),), universe_size=5)
-        f = block_factorizations(a, p)[0]
-        recon = f.u @ np.diag(f.singular_values) @ f.v.T
-        # block order is the partition's order (trivially 0..4 here)
-        assert np.linalg.norm(recon - a) <= 1e-10 * np.linalg.norm(a)
-
-    def test_each_block_reconstructs(self, rng):
-        a = rng.standard_normal((12, 5))
-        p = random_partition(12, 4, rng)
-        for f, idx in zip(block_factorizations(a, p), p.blocks):
-            block = a[idx, :]
-            recon = f.u @ np.diag(f.singular_values) @ f.v.T
-            assert np.linalg.norm(recon - block) <= 1e-10 * max(np.linalg.norm(block), 1e-30)
-
-    def test_column_axis(self, rng):
-        a = rng.standard_normal((6, 8))
-        p = random_partition(8, 2, rng, axis=COLUMNS)
-        for f, idx in zip(block_factorizations(a, p), p.blocks):
-            assert f.u.shape[0] == 6
-            assert f.v.shape[0] == len(idx)

@@ -414,6 +414,14 @@ class TestRun:
             assert r1.z_error_l2 == r2.z_error_l2
         assert np.array_equal(t1.final_x, t2.final_x)
 
+    def test_blockcd_residual_is_b_minus_a_x(self, rng):
+        # the trace reads blockcd's residual off z: it must be exactly b - a x
+        sys_ = small_system(rng, inconsistent=True)
+        config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
+        for max_epochs in (0, 1, 6):
+            trace = run(sys_, config, StopRule(max_epochs=max_epochs, error_threshold=1e-300))
+            assert trace.rows[-1].residual_l2 == np.linalg.norm(sys_.b - sys_.a @ trace.final_x)
+
     def test_z_error_column_only_for_z_methods(self, rng):
         sys_ = small_system(rng)
         stop = StopRule(max_epochs=2, error_threshold=1e-300)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockkaczmarz.tomography import (
+    _TINY,
     boundary_point,
     build_ray_matrix,
     line_pixel_intersections,
@@ -23,6 +24,49 @@ def brute_force_lengths(p0, p1, n_grid, samples=200000):
     out = np.zeros(n_grid * n_grid)
     np.add.at(out, flat, length / samples)
     return out
+
+
+def scalar_intersections(p0, p1, n_grid):
+    """Reference: the crossing construction for one segment, one
+    sub-interval at a time."""
+    x0, y0 = p0
+    x1, y1 = p1
+    dx, dy = x1 - x0, y1 - y0
+    length = float(np.hypot(dx, dy))
+    if length <= _TINY:
+        return np.empty(0, dtype=int), np.empty(0)
+    ts = [0.0, 1.0]
+    k = np.arange(1, n_grid)
+    for start, delta in ((x0, dx), (y0, dy)):
+        if delta != 0.0:
+            cand = (k - start) / delta
+            ts.extend(cand[(cand > 0.0) & (cand < 1.0)].tolist())
+    ts = np.array(sorted(ts))
+    indices, lengths = [], []
+    for t_a, t_b in zip(ts[:-1], ts[1:]):
+        dt = t_b - t_a
+        if dt <= _TINY:
+            continue
+        t_mid = 0.5 * (t_a + t_b)
+        ix = min(max(int(np.floor(x0 + t_mid * dx)), 0), n_grid - 1)
+        iy = min(max(int(np.floor(y0 + t_mid * dy)), 0), n_grid - 1)
+        indices.append(iy * n_grid + ix)
+        lengths.append(dt * length)
+    return np.array(indices, dtype=int), np.array(lengths)
+
+
+def per_ray_matrix(n_grid, oversampling, rng):
+    """Reference: the ray matrix built one ray at a time, redrawing a chord
+    while its intersection with the grid is empty."""
+    a = np.zeros((oversampling * n_grid**2, n_grid**2))
+    for r in range(a.shape[0]):
+        while True:
+            p0, p1 = random_chord(n_grid, rng)
+            idx, lengths = scalar_intersections(p0, p1, n_grid)
+            if lengths.size and lengths.sum() > _TINY:
+                a[r, idx] = lengths
+                break
+    return a
 
 
 class TestLineIntersections:
@@ -62,6 +106,17 @@ class TestLineIntersections:
             dense[idx] = lengths
             oracle = brute_force_lengths(p0, p1, 5)
             assert np.max(np.abs(dense - oracle)) <= 2e-3 * max(lengths.sum(), 1.0)
+
+
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(11)
+        chords = [random_chord(n, rng) + (n,) for n in (2, 3, 7) for _ in range(40)]
+        chords += [((0.0, 1.0), (3.0, 1.0), 3), ((1.0, 0.0), (1.0, 3.0), 3), ((0.0, 0.0), (3.0, 3.0), 3)]
+        for p0, p1, n in chords:
+            idx, lengths = line_pixel_intersections(p0, p1, n)
+            ref_idx, ref_lengths = scalar_intersections(p0, p1, n)
+            assert np.array_equal(idx, ref_idx)
+            assert lengths.tobytes() == ref_lengths.tobytes()
 
 
 class TestChordSampling:
@@ -114,6 +169,15 @@ class TestBuildRayMatrix:
         a1 = build_ray_matrix(4, 1, np.random.default_rng(3))
         a2 = build_ray_matrix(4, 1, np.random.default_rng(3))
         assert np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize(
+        "n_grid, oversampling, seed",
+        [(20, 3, seed) for seed in range(10)] + [(n, f, seed) for n in (2, 3) for f in (1, 3) for seed in range(10)],
+    )
+    def test_batched_matches_per_ray_loop(self, n_grid, oversampling, seed):
+        a = build_ray_matrix(n_grid, oversampling, np.random.default_rng(seed))
+        ref = per_ray_matrix(n_grid, oversampling, np.random.default_rng(seed))
+        assert a.tobytes() == ref.tobytes()
 
     def test_bad_args(self, rng):
         with pytest.raises(ValueError):
