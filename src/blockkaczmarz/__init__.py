@@ -11,7 +11,9 @@ method, and a seeded benchmark harness.
 from .linalg import (
     SpectralSummary,
     SvdFactorization,
+    col_submatrix,
     pinv_apply,
+    row_submatrix,
     spectral_summary,
     svd_factor,
 )

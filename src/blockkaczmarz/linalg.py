@@ -37,6 +37,34 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
+def row_submatrix(a: np.ndarray, indices) -> np.ndarray:
+    """Return a contiguous copy of the rows of ``a`` selected by ``indices``.
+
+    Order is preserved; duplicate indices are rejected.
+    """
+    a = as_matrix(a)
+    idx = _check_indices(indices, a.shape[0], "row")
+    return np.ascontiguousarray(a[idx, :])
+
+
+def col_submatrix(a: np.ndarray, indices) -> np.ndarray:
+    """Return a contiguous copy of the columns of ``a`` selected by ``indices``."""
+    a = as_matrix(a)
+    idx = _check_indices(indices, a.shape[1], "column")
+    return np.ascontiguousarray(a[:, idx])
+
+
+def _check_indices(indices, bound: int, kind: str) -> np.ndarray:
+    idx = np.asarray(indices, dtype=int)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError(f"{kind} index set must be a nonempty 1-D sequence")
+    if idx.min() < 0 or idx.max() >= bound:
+        raise ValueError(f"{kind} index out of range [0, {bound})")
+    if np.unique(idx).size != idx.size:
+        raise ValueError(f"duplicate {kind} indices")
+    return idx
+
+
 @dataclass(frozen=True)
 class SvdFactorization:
     """Thin SVD ``a = u @ diag(s) @ v.T`` with a numerical-rank cutoff.

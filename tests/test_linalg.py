@@ -4,11 +4,56 @@ import pytest
 from blockkaczmarz.linalg import (
     as_matrix,
     as_vector,
+    col_submatrix,
     pinv_apply,
+    row_submatrix,
     spectral_summary,
     svd_factor,
 )
 from blockkaczmarz.paving import row_standardize
+
+
+class TestSubmatrices:
+    def test_row_full_set(self, rng):
+        a = rng.standard_normal((3, 2))
+        assert np.array_equal(row_submatrix(a, [0, 1, 2]), a)
+
+    def test_row_single(self, rng):
+        a = rng.standard_normal((3, 2))
+        sub = row_submatrix(a, [1])
+        assert sub.shape == (1, 2)
+        assert np.array_equal(sub[0], a[1])
+
+    def test_row_entrywise(self, rng):
+        a = rng.standard_normal((8, 5))
+        idx = [6, 0, 3]
+        sub = row_submatrix(a, idx)
+        for k, i in enumerate(idx):
+            for j in range(5):
+                assert sub[k, j] == a[i, j]
+
+    def test_col_full_set(self, rng):
+        a = rng.standard_normal((3, 4))
+        assert np.array_equal(col_submatrix(a, [0, 1, 2, 3]), a)
+
+    def test_col_single(self, rng):
+        a = rng.standard_normal((3, 4))
+        sub = col_submatrix(a, [2])
+        assert sub.shape == (3, 1)
+        assert np.array_equal(sub[:, 0], a[:, 2])
+
+    def test_col_entrywise(self, rng):
+        a = rng.standard_normal((4, 7))
+        idx = [5, 1]
+        sub = col_submatrix(a, idx)
+        for i in range(4):
+            for k, j in enumerate(idx):
+                assert sub[i, k] == a[i, j]
+
+    @pytest.mark.parametrize("bad", [[], [3], [-1], [0, 0]])
+    def test_row_bad_indices(self, bad):
+        with pytest.raises(ValueError):
+            row_submatrix(np.eye(3), bad)
 
 
 class TestSvdFactor:
