@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import svd_factor
 from .paving import COLUMNS, ROWS, Partition, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
-from .systems import LinearSystem, make_system
+from .systems import LinearSystem, attach_oracle, make_system
 from .solvers import BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, MethodConfig, StopRule, Trace, epoch_length, run
 from . import theory
 from .tomography import build_ray_matrix, radial_phantom
@@ -54,8 +54,10 @@ def _gaussian_nonzero_rows(n: int, d: int, rng: np.random.Generator) -> np.ndarr
         g[zero] = rng.standard_normal((zero.size, d))
 
 
-def _orthogonal_noise(a: np.ndarray, norm: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian vector projected off the range of ``a`` and rescaled to ``norm``."""
+def _planted_inconsistent(a: np.ndarray, x: np.ndarray, norm: float, rng: np.random.Generator) -> LinearSystem:
+    """The system ``a @ x + e``, with ``e`` Gaussian noise projected off the range
+    of ``a`` and rescaled to ``norm``; one SVD of ``a`` serves the projection
+    and the oracle."""
     fact = svd_factor(a)
     u = fact.u[:, : fact.rank]
     while True:
@@ -63,7 +65,8 @@ def _orthogonal_noise(a: np.ndarray, norm: float, rng: np.random.Generator) -> n
         e = g - u @ (u.T @ g)
         e_norm = np.linalg.norm(e)
         if e_norm > 1e-12:
-            return e * (norm / e_norm)
+            break
+    return attach_oracle(make_system(a, a @ x + e * (norm / e_norm), with_oracle=False), fact)
 
 
 def gen_gaussian_rowstd(n: int, d: int, rng: np.random.Generator) -> LinearSystem:
@@ -88,8 +91,7 @@ def gen_inconsistent(n: int, d: int, residual_norm: float, rng: np.random.Genera
         raise ValueError(f"need n > d >= 1, got n={n}, d={d}")
     a = row_standardize(_gaussian_nonzero_rows(n, d, rng))[0]
     x = rng.standard_normal(d)
-    e = _orthogonal_noise(a, residual_norm, rng)
-    return make_system(a, a @ x + e)
+    return _planted_inconsistent(a, x, residual_norm, rng)
 
 
 def gen_dynamic_rows(n: int, d: int, rng: np.random.Generator, residual_norm: float = 0.5) -> LinearSystem:
@@ -104,8 +106,7 @@ def gen_dynamic_rows(n: int, d: int, rng: np.random.Generator, residual_norm: fl
     base = row_standardize(_gaussian_nonzero_rows(n, d, rng))[0]
     a = base * np.arange(1.0, n + 1.0)[:, None]
     x = rng.standard_normal(d)
-    e = _orthogonal_noise(a, residual_norm, rng)
-    return make_system(a, a @ x + e)
+    return _planted_inconsistent(a, x, residual_norm, rng)
 
 
 def gen_tomography(n_grid: int, oversampling: int, rng: np.random.Generator) -> LinearSystem:

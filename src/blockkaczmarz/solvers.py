@@ -38,6 +38,13 @@ rows and columns drawn by squared norm are blocks of size one.
 ``x`` and ``z`` in place; the ``*_step`` functions are pure one-step wrappers
 over it.  Nothing writes into a system's arrays or a :class:`BlockPlan`, so
 independent runs can share them.
+
+The single-row and single-column sides (``rk``, ``rek``) run a chunk of
+steps as one triangular solve: a run of Kaczmarz steps is one forward
+substitution on the Gram matrix of its rows (Bjorck & Elfving, BIT 1979), and
+``rek``'s column side is the same on the columns.  The iterates are those of
+the steps taken one by one, up to rounding.  ``block``, ``double``,
+``blockcd``, ``hybrid`` and single steps run step by step.
 """
 
 from __future__ import annotations
@@ -334,6 +341,55 @@ def _row_update(a, b, rows):
     return update
 
 
+# Steps per triangular solve of the single-row and single-column sides.
+_CHUNK = 32
+_TRI = np.tri(_CHUNK)
+
+
+class _NormChunks:
+    """``rk`` and ``rek`` steps run a chunk at a time.
+
+    Sequential Kaczmarz steps on rows ``I = (i_1..i_m)`` are one forward
+    substitution (Bjorck & Elfving, BIT 1979): the coefficients ``c`` solve
+    ``tril(a_I a_I^T) c = b_I - z_I - a_I x``, then ``x += c @ a_I``.  The
+    column side on ``J = (j_1..j_m)`` is the same on ``a^T``:
+    ``tril(a_J^T a_J) e = a_J^T z``, then ``z -= e @ a_J^T``.  Row step ``t``
+    reads ``z`` after column step ``t``, which adds the inclusive lower
+    triangle of ``a[I][:, J]`` applied to ``e`` to the row side's right-hand
+    side.  The diagonals are the squared norms, which are never zero for a
+    drawn index, so both triangles are nonsingular.
+
+    The column side reads a contiguous ``a^T`` and gathers each chunk's Gram
+    from ``a^T a``, built on the first call; for wide systems (more columns
+    than rows) the chunk's Gram is computed instead, to keep memory O(n d).
+    """
+
+    def __init__(self, a, b, columns: bool):
+        self._a, self._b, self._columns = a, b, columns
+        self._at = self._ata = None
+
+    def __call__(self, indices, x, z) -> None:
+        a, b = self._a, self._b
+        if self._columns and self._at is None:
+            self._at = np.ascontiguousarray(a.T)
+            self._ata = self._at @ a if a.shape[1] <= a.shape[0] else None
+        at, ata = self._at, self._ata
+        rows, cols = np.asarray(indices[-1]), np.asarray(indices[0])
+        for lo in range(0, rows.size, _CHUNK):
+            i = rows[lo : lo + _CHUNK]
+            tri = _TRI[: i.size, : i.size]
+            a_i = a.take(i, 0)
+            rhs = b[i] - a_i @ x
+            if self._columns:
+                j = cols[lo : lo + _CHUNK]
+                at_j = at.take(j, 0)
+                gram = at_j @ at_j.T if ata is None else ata.take(j, 0).take(j, 1)
+                e = np.linalg.solve(gram * tri, at_j @ z)
+                rhs += (a_i.take(j, 1) * tri) @ e - z[i]
+                z -= e @ at_j
+            x += np.linalg.solve((a_i @ a_i.T) * tri, rhs) @ a_i
+
+
 # Each method's column side and row side, run in that order within a step.
 # ``blockcd``'s descent side is called once with all of an apply's steps.
 _SKETCH = {
@@ -352,6 +408,11 @@ class Kernel:
     Each side of a step picks one block: a single row or column of ``a``
     drawn by squared norm when given a :class:`NormSampler` (the default),
     or a block of a :class:`BlockPlan` drawn uniformly.
+
+    When every side draws single rows or columns (``rk``, ``rek``), an
+    :meth:`apply` of more than one step runs chunks of steps as triangular
+    solves (:class:`_NormChunks`).  Block sides (``block``, ``double``,
+    ``blockcd``, ``hybrid``) and single steps run step by step.
     """
 
     def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
@@ -366,6 +427,8 @@ class Kernel:
         self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
         self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
         self._descent = method == BLOCK_CD
+        chunked = all(self._weighted) and not self._descent
+        self._chunks = _NormChunks(a, b, columns=col_update is not None) if chunked else None
 
     def draw(self, rng: np.random.Generator, steps: int) -> list[list[int]]:
         """Block indices of ``steps`` steps, one list per side.
@@ -385,7 +448,9 @@ class Kernel:
 
     def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
         """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
-        if self._descent:
+        if self._chunks is not None and len(indices[0]) > 1:
+            self._chunks(indices, x, z)
+        elif self._descent:
             self._updates[0](indices[0], x, z)
         elif len(self._updates) == 1:
             update = self._updates[0]

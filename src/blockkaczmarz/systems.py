@@ -9,13 +9,14 @@ per-epoch error telemetry is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_RANK_TOLERANCE,
     SpectralSummary,
+    SvdFactorization,
     as_matrix,
     as_vector,
     pinv_apply,
@@ -59,17 +60,20 @@ def make_system(
 ) -> LinearSystem:
     """Build a :class:`LinearSystem`, solving for the exact solution once.
 
-    The full SVD used for the oracle is computed here and nowhere else, so
-    solver timings never include it.
+    The full SVD used for the oracle is computed here (or by the caller of
+    :func:`attach_oracle`), so solver timings never include it.
     """
     a = as_matrix(a)
     b = as_vector(b, "b")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
-    if not with_oracle:
-        return LinearSystem(a=a, b=b, x_ls=None, spectral=None, b_range=None, b_perp=None)
-    fact = svd_factor(a, rank_tolerance)
-    spectral = summarize_factorization(a, fact)
-    x_ls = pinv_apply(fact, b)
-    b_range = a @ x_ls
-    return LinearSystem(a=a, b=b, x_ls=x_ls, spectral=spectral, b_range=b_range, b_perp=b - b_range)
+    system = LinearSystem(a=a, b=b, x_ls=None, spectral=None, b_range=None, b_perp=None)
+    return attach_oracle(system, svd_factor(a, rank_tolerance)) if with_oracle else system
+
+
+def attach_oracle(system: LinearSystem, fact: SvdFactorization) -> LinearSystem:
+    """``system`` with its oracle read off ``fact``, a factorization of ``system.a``."""
+    spectral = summarize_factorization(system.a, fact)
+    x_ls = pinv_apply(fact, system.b)
+    b_range = system.a @ x_ls
+    return replace(system, x_ls=x_ls, spectral=spectral, b_range=b_range, b_perp=system.b - b_range)

@@ -25,8 +25,10 @@ from blockkaczmarz.harness import (
     write_csv,
     write_envelopes_csv,
 )
-from blockkaczmarz.paving import column_standardize, dynamic_range
+from blockkaczmarz import harness, linalg, systems
+from blockkaczmarz.paving import column_standardize, dynamic_range, row_standardize
 from blockkaczmarz.solvers import StopRule
+from blockkaczmarz.systems import make_system
 
 
 class TestGenGaussianRowstd:
@@ -133,6 +135,41 @@ class TestGenerateSystem:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown problem kind"):
             generate_system(ProblemSpec(kind="banded", seed=0))
+
+    @pytest.mark.parametrize("preset", ["fig3a", "figd"])
+    def test_inconsistent_system_takes_one_svd(self, preset, monkeypatch):
+        shapes = []
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return linalg.svd_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "svd_factor", counting_svd)
+        monkeypatch.setattr(systems, "svd_factor", counting_svd)
+        generate_system(make_preset(preset, 0).spec)
+        assert shapes == [(300, 100)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["fig3a", "figd"])
+    def test_inconsistent_system_matches_two_svd_construction(self, preset, seed):
+        # replay the generator's draws with a separate SVD for the noise and
+        # for the oracle: sharing one must not change a bit
+        spec = make_preset(preset, seed).spec
+        n, d = spec.n, spec.d
+        rng = np.random.default_rng(seed)
+        a = row_standardize(rng.standard_normal((n, d)))[0]
+        if spec.kind == GAUSSIAN_DYNAMIC:
+            a = a * np.arange(1.0, n + 1.0)[:, None]
+        x = rng.standard_normal(d)
+        fact = linalg.svd_factor(a)
+        u = fact.u[:, : fact.rank]
+        g = rng.standard_normal(n)
+        e = g - u @ (u.T @ g)
+        ref = make_system(a, a @ x + e * (spec.residual_norm / np.linalg.norm(e)))
+        sys_ = generate_system(spec)
+        for name in ("a", "b", "x_ls", "b_range", "b_perp"):
+            assert np.array_equal(getattr(sys_, name), getattr(ref, name)), name
+        assert sys_.spectral == ref.spectral
 
 
 class TestDeriveSeed:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockkaczmarz.paving import COLUMNS, random_partition
-from blockkaczmarz.solvers import BLOCK_CD, DOUBLE, REK, Kernel, make_block_plan
+from blockkaczmarz.solvers import _CHUNK, BLOCK_CD, DOUBLE, REK, RK, Kernel, make_block_plan
 from blockkaczmarz.systems import make_system
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -117,3 +117,42 @@ def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
         assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(x_ref) + np.linalg.norm(b))
         assert np.linalg.norm(z - z_ref) <= tol * np.linalg.norm(b)
         assert x[zero] == 0.0
+
+
+@st.composite
+def coherent_systems(draw):
+    """An inconsistent n x d system of near-duplicate rows (copies of a few
+    base rows, perturbed by ``spread``, with norms graded over 1..300), with
+    two near-collinear columns, a zero row and a zero column; ``n`` lies below,
+    at or above a multiple of the chunk size, and some systems are wide."""
+    n = draw(st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 3, 3 * _CHUNK - 2]))
+    d = draw(st.one_of(st.integers(4, 12), st.just(n + 7)))
+    spread = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(st.integers(1, 4)), d))
+    a = base[rng.integers(base.shape[0], size=n)] + spread * rng.standard_normal((n, d))
+    zero_col, near, source = rng.permutation(d)[:3]
+    a[:, near] = a[:, source] + spread * rng.standard_normal(n)
+    a *= np.exp(rng.uniform(0.0, np.log(300.0), n))[:, None]
+    a[:, zero_col] = 0.0
+    a[rng.integers(n)] = 0.0
+    return make_system(a, rng.standard_normal(n)), rng
+
+
+@PROPERTY_SETTINGS
+@given(coherent_systems(), st.sampled_from([RK, REK]))
+def test_chunked_epoch_matches_single_steps(problem, method):
+    system, rng = problem
+    kernel = Kernel(method, system.a, system.b)
+    x = np.zeros(system.n_cols)
+    z = None if method == RK else system.b.copy()
+    x_ref, z_ref = x.copy(), None if z is None else z.copy()
+    scale = np.linalg.norm(system.x_ls) + np.linalg.norm(system.b)
+    for _ in range(3):
+        steps = kernel.draw(rng, system.n_rows)
+        kernel.apply(x, z, steps)
+        for step in zip(*steps):
+            kernel.apply(x_ref, z_ref, [[k] for k in step])
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * scale
+        if z is not None:
+            assert np.linalg.norm(z - z_ref) <= 1e-12 * scale

@@ -5,6 +5,7 @@ from blockkaczmarz import solvers
 from blockkaczmarz.linalg import pinv_apply
 from blockkaczmarz.paving import COLUMNS, ROWS, Partition, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
+    _CHUNK,
     BLOCK,
     BLOCK_CD,
     DOUBLE,
@@ -511,33 +512,43 @@ class TestConfigValidation:
 
 
 class TestZeroRowsAndColumns:
-    def test_rek_skips_zero_column(self):
+    # 60 and 30 rows run at most two chunks per epoch; MULTI_CHUNK rows run
+    # full and partial chunks.
+    MULTI_CHUNK = 2 * _CHUNK + 11
+
+    def test_rek_skips_zero_column(self, n=60):
         # the min-norm least-squares solution exists; its zeroed coordinate stays 0
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((60, 20))
+        a = rng.standard_normal((n, 20))
         a[:, 7] = 0.0
-        sys_ = make_system(a, rng.standard_normal(60))
+        sys_ = make_system(a, rng.standard_normal(n))
         with np.errstate(divide="raise", invalid="raise"):
             trace = run(sys_, MethodConfig(REK, seed=1), StopRule(max_epochs=800, error_threshold=1e-6))
         assert trace.converged
         assert trace.final_x[7] == 0.0
 
-    def test_rk_skips_zero_row(self):
+    def test_rk_skips_zero_row(self, n=30):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((30, 8))
+        a = rng.standard_normal((n, 8))
         a[4] = 0.0
         x = rng.standard_normal(8)
         sys_ = make_system(a, a @ x)
         trace = run(sys_, MethodConfig(RK, seed=2), StopRule(max_epochs=400, error_threshold=1e-8))
         assert trace.converged
 
+    def test_rek_skips_zero_column_over_chunks(self):
+        self.test_rek_skips_zero_column(self.MULTI_CHUNK)
 
-def mixed_setup(seed=0):
-    """An inconsistent 40x12 system with row and column partitions, and the
+    def test_rk_skips_zero_row_over_chunks(self):
+        self.test_rk_skips_zero_row(self.MULTI_CHUNK)
+
+
+def mixed_setup(seed=0, n=40):
+    """An inconsistent n x 12 system with row and column partitions, and the
     method configs and plans that go with them."""
     rng = np.random.default_rng(seed)
-    sys_ = small_system(rng, n=40, d=12, inconsistent=True)
-    rowp = random_partition(40, 5, np.random.default_rng(seed + 1))
+    sys_ = small_system(rng, n=n, d=12, inconsistent=True)
+    rowp = random_partition(n, 5, np.random.default_rng(seed + 1))
     colp = random_partition(12, 3, np.random.default_rng(seed + 2), axis=COLUMNS)
     configs = {
         RK: MethodConfig(RK, seed=21),
@@ -570,11 +581,16 @@ def plan_arrays(*plans):
     return arrays
 
 
-@pytest.mark.parametrize("method", sorted(STEPPERS))
-def test_batched_run_matches_stepwise_wrappers(method):
+@pytest.mark.parametrize(
+    "method, n",
+    [pytest.param(m, 40, id=m) for m in sorted(STEPPERS)]
+    + [pytest.param(m, 2 * _CHUNK + 11, id=f"{m}-multichunk") for m in sorted(STEPPERS)],
+)
+def test_batched_run_matches_stepwise_wrappers(method, n):
     # the epoch kernel draws a whole epoch at once; the stream must be the one
-    # the wrappers draw step by step
-    sys_, configs, row_plan, col_plan = mixed_setup()
+    # the wrappers draw step by step, and rk/rek's chunked solves must give
+    # their iterates
+    sys_, configs, row_plan, col_plan = mixed_setup(n=n)
     config = configs[method]
     epochs = 6
     trace = run(sys_, config, StopRule(max_epochs=epochs, error_threshold=1e-300))
