@@ -12,12 +12,16 @@ Five methods share one run loop:
     solves against ``b - z``, so the iterate converges to the least-squares
     solution even on inconsistent systems.
 ``block``
-    Project onto the solution space of a whole row block at once, using the
-    block pseudoinverse; blocks are drawn uniformly from a fixed partition.
+    Project onto the solution space of a whole row block at once: the
+    block's residual ``r = (b - a x)_k`` first, then ``x += r @ pinv(A_k)^T``
+    through the block's precomputed, contiguous ``pinv(A_k)^T`` (not the
+    x-space form, which fixes the rounding of ``S^-1`` applied to ``b`` into
+    its fixed point); blocks are drawn uniformly from a fixed partition.
 ``double``
     Block version of ``rek``: a column block projects ``z`` off a slice of
-    the range, then a row block performs the Kaczmarz update against
-    ``b - z``.  Requires both a row and a column partition.
+    the range, then the ``block`` step runs against ``b - z``:
+    ``x += (b - z - a x)_k @ pinv(A_k)^T``.  Requires both a row and a column
+    partition.
 ``blockcd``
     Block coordinate descent on the least-squares objective: only a column
     partition is needed, and only the coordinates of the chosen column block
@@ -210,11 +214,20 @@ def make_block_plan(a: np.ndarray, partition: Partition) -> BlockPlan:
 
 
 def _factors(plan: BlockPlan):
-    """Per block: ``U^T``, ``U``, ``V`` and singular values cut to the numerical
-    rank, as views of the plan's factorizations."""
+    """Per block: ``U``, ``V`` and singular values cut to the numerical rank,
+    as views of the plan's factorizations."""
     facts = plan.factorizations
-    u = [f.u[:, : f.rank] for f in facts]
-    return [m.T for m in u], u, [f.v[:, : f.rank] for f in facts], [f.singular_values[: f.rank] for f in facts]
+    return ([f.u[:, : f.rank] for f in facts], [f.v[:, : f.rank] for f in facts],
+            [f.singular_values[: f.rank] for f in facts])
+
+
+def _clear_zero_columns(sub: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v`` with the rows of ``sub``'s zero columns cleared.
+
+    A zero column's row of ``V`` is only roundoff-small; cleared, that
+    coordinate of ``x`` stays exactly 0 under ``pinv(A_k) = V S^-1 U^T``.
+    """
+    return np.where(sub.any(axis=0)[:, None], v, 0.0)
 
 
 def _column_update(a, b, cols):
@@ -227,7 +240,8 @@ def _column_update(a, b, cols):
             z -= ((col @ z) / sq[k]) * col
 
         return update
-    ut, u, _, _ = _factors(cols)
+    u, _, _ = _factors(cols)
+    ut = [m.T for m in u]
 
     def update(k, x, z):
         z -= u[k] @ (ut[k] @ z)
@@ -275,13 +289,11 @@ class _PinvDescent:
         self._c = self._hb = None
 
     def _build(self) -> None:
-        _, u, v, s = _factors(self._cols)
+        u, v, s = _factors(self._cols)
         ranks = _slices([sk.size for sk in s])
         left, right = [], []
         for sub, vk, sk in zip(self._cols.submatrices, v, s):
-            # A zero column's row of V is only roundoff-small: clear it, so
-            # that coordinate of x stays exactly 0.
-            vk = np.where(sub.any(axis=0)[:, None], vk, 0.0)
+            vk = _clear_zero_columns(sub, vk)
             left.append(vk / sk)
             right.append(vk * sk)
         # overlap[r_l, r_k] = U_l^T U_k; half[:, j_l] = overlap[:, r_l] S_l^-1 V_l^T
@@ -320,7 +332,19 @@ def _slices(sizes) -> list[slice]:
 
 def _row_update(a, b, rows):
     """Project ``x`` onto the hyperplane of row ``k``, or the solution set of row
-    block ``k``, of ``a x = b - z`` (``a x = b`` when there is no ``z``)."""
+    block ``k``, of ``a x = b - z`` (``a x = b`` when there is no ``z``).
+
+    A row-block step forms the block's residual first and applies the block
+    pseudoinverse to it: ``r = (b - z - a x)_k``, ``x += r @ P_k`` with
+    ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell & Tropp, 2014), a
+    contiguous c x d array built from the plan's SVD factors with the rank
+    cutoff kept, on the first step that draws block ``k``.  That is four
+    numpy calls per ``block`` step.  The x-space form
+    ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as fast, but it applies
+    ``S^-1`` to ``b`` once and fixes that rounding into its fixed point: on
+    blocks of near-duplicate rows its error floor was up to 28 times that of
+    the residual-first step.  The row side reads no ``a``.
+    """
     if isinstance(rows, NormSampler):
         bl, sq = b.tolist(), rows.sq_norms.tolist()
 
@@ -330,15 +354,25 @@ def _row_update(a, b, rows):
             x += (r / sq[k]) * row
 
         return update
-    ut, _, v, s = _factors(rows)
     idx, sub = rows.partition.blocks, rows.submatrices
     bk = [b[i] for i in idx]
+    pt = [None] * rows.n_blocks
 
     def update(k, x, z):
+        p = pt[k]
+        if p is None:
+            p = pt[k] = _pinv_transpose(sub[k], rows.factorizations[k])
         r = bk[k] - sub[k] @ x if z is None else bk[k] - z[idx[k]] - sub[k] @ x
-        x += v[k] @ ((ut[k] @ r) / s[k])
+        x += r @ p
 
     return update
+
+
+def _pinv_transpose(sub: np.ndarray, f: SvdFactorization) -> np.ndarray:
+    """``pinv(sub)^T = U S^-1 V^T`` over the numerical rank, C-contiguous, with
+    the columns of ``sub``'s zero columns exactly 0."""
+    r = f.rank
+    return (f.u[:, :r] / f.singular_values[:r]) @ _clear_zero_columns(sub, f.v[:, :r]).T
 
 
 # Steps per triangular solve of the single-row and single-column sides.

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockkaczmarz.paving import COLUMNS, random_partition
-from blockkaczmarz.solvers import _CHUNK, BLOCK_CD, DOUBLE, REK, RK, Kernel, make_block_plan
+from blockkaczmarz.solvers import _CHUNK, BLOCK, BLOCK_CD, DOUBLE, REK, RK, Kernel, make_block_plan
 from blockkaczmarz.systems import make_system
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -57,16 +57,20 @@ def test_z_error_never_increases(problem, method):
 
 
 @PROPERTY_SETTINGS
-@given(problems(), st.sampled_from([REK, DOUBLE]))
+@given(problems(), st.sampled_from([REK, DOUBLE, BLOCK]))
 def test_least_squares_pair_is_fixed_point(problem, method):
     system, row_plan, col_plan, rng = problem
     if method == REK:
         row_plan = col_plan = None  # single rows and columns drawn by squared norm
+    if method == BLOCK:
+        # without z, row-block steps fix x_ls only where a x_ls = b
+        system, col_plan = make_system(system.a, system.a @ system.x_ls), None
     kernel = Kernel(method, system.a, system.b, rows=row_plan, cols=col_plan)
-    x, z = system.x_ls.copy(), system.b_perp.copy()
+    x, z = system.x_ls.copy(), None if method == BLOCK else system.b_perp.copy()
     kernel.apply(x, z, kernel.draw(rng, 3 * system.n_rows))
     b_norm = np.linalg.norm(system.b)
-    assert np.linalg.norm(z - system.b_perp) <= 1e-10 * b_norm
+    if z is not None:
+        assert np.linalg.norm(z - system.b_perp) <= 1e-10 * b_norm
     assert np.linalg.norm(x - system.x_ls) <= 1e-10 * (np.linalg.norm(system.x_ls) + b_norm / system.spectral.sigma_min_nonzero)
 
 
@@ -117,6 +121,63 @@ def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
         assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(x_ref) + np.linalg.norm(b))
         assert np.linalg.norm(z - z_ref) <= tol * np.linalg.norm(b)
         assert x[zero] == 0.0
+
+
+@st.composite
+def coherent_row_blocks(draw):
+    """An n x d system with a zero row, a zero column, one duplicated row and
+    one nearly duplicated row, with a random row plan and column plan."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(2, 10))
+    spread = draw(st.sampled_from([1e-3, 1e-6, 1e-8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, d))
+    zero, dup, near, source = rng.permutation(n)[:4]
+    a[dup] = a[source]
+    a[near] = a[source] + spread * rng.standard_normal(d)
+    a[zero] = 0.0
+    zero_col = rng.integers(d)
+    a[:, zero_col] = 0.0
+    row_plan = make_block_plan(a, random_partition(n, draw(st.integers(1, n)), rng))
+    col_plan = make_block_plan(a, random_partition(d, draw(st.integers(1, d)), rng, axis=COLUMNS))
+    return make_system(a, rng.standard_normal(n)), row_plan, col_plan, zero_col, rng
+
+
+def reference_row_blocks(system, row_plan, col_plan, steps, x, z):
+    """``block``/``double`` steps in the form ``x += V S^-1 U^T (b - z - A_k x)_k``
+    over the block's numerical rank, after ``z -= U_l U_l^T z`` for ``double``."""
+    cols = steps[0] if z is not None else [None] * len(steps[-1])
+    for l, k in zip(cols, steps[-1]):
+        if l is not None:
+            u = col_plan.factorizations[l].u[:, : col_plan.factorizations[l].rank]
+            z -= u @ (u.T @ z)
+        f, idx = row_plan.factorizations[k], row_plan.block(k)
+        r = system.b[idx] - row_plan.submatrices[k] @ x
+        if z is not None:
+            r -= z[idx]
+        x += f.v[:, : f.rank] @ ((f.u[:, : f.rank].T @ r) / f.singular_values[: f.rank])
+
+
+@PROPERTY_SETTINGS
+@given(coherent_row_blocks(), st.sampled_from([BLOCK, DOUBLE]))
+def test_row_block_epoch_matches_residual_form_steps(problem, method):
+    system, row_plan, col_plan, zero_col, rng = problem
+    # Both forms lose accuracy in proportion to the worst block's condition
+    # number over its numerical rank (up to ~1e8 here, from the near duplicate).
+    facts = [f for f in row_plan.factorizations if f.rank]
+    tol = 1e-12 * max(f.singular_values[0] / f.singular_values[f.rank - 1] for f in facts)
+    col_plan = col_plan if method == DOUBLE else None
+    kernel = Kernel(method, system.a, system.b, rows=row_plan, cols=col_plan)
+    x = np.zeros(system.n_cols)
+    z = system.b.copy() if method == DOUBLE else None
+    x_ref, z_ref = x.copy(), None if z is None else z.copy()
+    steps = kernel.draw(rng, row_plan.n_blocks)
+    kernel.apply(x, z, steps)
+    reference_row_blocks(system, row_plan, col_plan, steps, x_ref, z_ref)
+    assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(system.x_ls) + np.linalg.norm(system.b))
+    if z is not None:
+        assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(system.b)
+    assert x[zero_col] == 0.0
 
 
 @st.composite

@@ -402,6 +402,19 @@ class TestRun:
         with pytest.raises(AssertionError, match="descent arrays"):
             run(sys_, config, StopRule(max_epochs=1, error_threshold=1e-12))
 
+    @pytest.mark.parametrize("method", [BLOCK, DOUBLE, HYBRID])
+    def test_row_blocks_build_pinv_only_when_an_epoch_runs(self, method, rng, monkeypatch):
+        def fail(sub, f):
+            raise AssertionError("block pseudoinverse built")
+
+        monkeypatch.setattr(solvers, "_pinv_transpose", fail)
+        sys_ = small_system(rng, inconsistent=True)
+        colp = random_partition(10, 3, rng, axis=COLUMNS) if method == DOUBLE else None
+        config = MethodConfig(method, row_partition=random_partition(20, 4, rng), col_partition=colp, seed=0)
+        assert len(run(sys_, config, StopRule(max_epochs=0, error_threshold=1e-12)).rows) == 1
+        with pytest.raises(AssertionError, match="block pseudoinverse"):
+            run(sys_, config, StopRule(max_epochs=1, error_threshold=1e-12))
+
     def test_deterministic_replay(self, rng):
         sys_ = small_system(rng, inconsistent=True)
         colp = random_partition(10, 3, np.random.default_rng(0), axis=COLUMNS)
@@ -541,6 +554,25 @@ class TestZeroRowsAndColumns:
 
     def test_rk_skips_zero_row_over_chunks(self):
         self.test_rk_skips_zero_row(self.MULTI_CHUNK)
+
+    @staticmethod
+    def final_x_with_zero_column(method):
+        # a zero column's row of V is only roundoff-small; the row-block steps
+        # must not write that roundoff into x
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((60, 20))
+        a[:, 5] = 0.0
+        sys_ = make_system(a, rng.standard_normal(60))
+        rowp = random_partition(60, 6, np.random.default_rng(1))
+        colp = random_partition(20, 4, np.random.default_rng(2), axis=COLUMNS) if method == DOUBLE else None
+        config = MethodConfig(method, row_partition=rowp, col_partition=colp, seed=1)
+        return run(sys_, config, StopRule(max_epochs=50, error_threshold=1e-300)).final_x
+
+    def test_block_skips_zero_column(self):
+        assert self.final_x_with_zero_column(BLOCK)[5] == 0.0
+
+    def test_double_skips_zero_column(self):
+        assert self.final_x_with_zero_column(DOUBLE)[5] == 0.0
 
 
 def mixed_setup(seed=0, n=40):
