@@ -13,6 +13,8 @@ a graded-row version inflates the certified rate with the dynamic range.
 import numpy as np
 
 from blockkaczmarz import (
+    DOUBLE,
+    Kernel,
     double_block_error_bound,
     dynamic_range,
     gen_inconsistent,
@@ -26,7 +28,6 @@ from blockkaczmarz import (
     transported_paving_rate,
     z_error_envelope,
 )
-from blockkaczmarz.solvers import double_block_step
 
 RUNS = 200
 STEPS = 40
@@ -47,13 +48,14 @@ def main():
 
     row_plan = make_block_plan(system.a, row_part)
     col_plan = make_block_plan(system.a, col_part)
+    kernel = Kernel(DOUBLE, system.a, system.b, rows=row_plan, cols=col_plan)
     x_sq = np.zeros((RUNS, STEPS + 1))
     z_sq = np.zeros((RUNS, STEPS + 1))
     for r in range(RUNS):
         state = initial_state(system, "double")
         g = np.random.default_rng(5000 + r)
         for k in range(1, STEPS + 1):
-            state = double_block_step(state, system.b, row_plan, col_plan, g)
+            state = kernel.step(state, g)
             x_sq[r, k] = np.sum((state.x - system.x_ls) ** 2)
             z_sq[r, k] = np.sum((state.z - system.b_perp) ** 2)
 

@@ -42,19 +42,14 @@ from .solvers import (
     RK,
     BlockPlan,
     ConfigError,
+    Kernel,
     MethodConfig,
     SolverState,
     StopRule,
     Trace,
-    block_cd_step,
-    block_kaczmarz_step,
-    double_block_step,
     epoch_length,
-    hybrid_step,
     initial_state,
     make_block_plan,
-    rek_step,
-    rk_step,
     run,
 )
 from .theory import (

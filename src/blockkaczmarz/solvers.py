@@ -38,9 +38,10 @@ All of them are one sketch-and-project update (Gower & Richtarik, 2015): a
 step projects ``z`` off a column block (``blockcd``: a descent step on it)
 and/or ``x`` onto the solution set of a row block of ``a x = b - z``; single
 rows and columns drawn by squared norm are blocks of size one.
-:class:`Kernel` holds that update once and runs an epoch of batched draws on
-``x`` and ``z`` in place; the ``*_step`` functions are pure one-step wrappers
-over it.  Nothing writes into a system's arrays or a :class:`BlockPlan`, so
+:class:`Kernel` holds that update once: :meth:`Kernel.apply` runs an epoch
+of batched draws on ``x`` and ``z`` in place, and :meth:`Kernel.step` is the
+one pure step, with its indices drawn or pinned side by side, column side
+first.  Nothing writes into a system's arrays or a :class:`BlockPlan`, so
 independent runs can share them.
 
 The single-row and single-column sides (``rk``, ``rek``) run a chunk of
@@ -273,16 +274,11 @@ class _PinvDescent:
     ``z = b - a x`` last, so ``h`` drifts for one call at most, ``z`` is the
     residual after every call, and the ``z`` passed in is not read.
     ``C`` and ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the
-    first call.  Without ``a`` (the one-step wrapper), ``a`` is assembled
-    from the plan's blocks.
+    first call.
     """
 
     def __init__(self, a, b, cols: BlockPlan):
         blocks = cols.partition.blocks
-        if a is None:
-            a = np.empty((b.shape[0], cols.partition.universe_size))
-            for idx, sub in zip(blocks, cols.submatrices):
-                a[:, idx] = sub
         self._a, self._b, self._cols = a, b, cols
         self._perm = np.concatenate(blocks)
         self._slices = _slices([len(idx) for idx in blocks])
@@ -343,7 +339,7 @@ def _row_update(a, b, rows):
     ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as fast, but it applies
     ``S^-1`` to ``b`` once and fixes that rounding into its fixed point: on
     blocks of near-duplicate rows its error floor was up to 28 times that of
-    the residual-first step.  The row side reads no ``a``.
+    the residual-first step.
     """
     if isinstance(rows, NormSampler):
         bl, sq = b.tolist(), rows.sq_norms.tolist()
@@ -460,7 +456,7 @@ class Kernel:
         self._picks = [pick for _, pick, _ in sides]
         self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
         self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
-        self._descent = method == BLOCK_CD
+        self._method, self._descent = method, method == BLOCK_CD
         chunked = all(self._weighted) and not self._descent
         self._chunks = _NormChunks(a, b, columns=col_update is not None) if chunked else None
 
@@ -497,58 +493,39 @@ class Kernel:
                 second(u, x, z)
 
     def step(self, state: SolverState, rng: np.random.Generator, *pinned) -> SolverState:
-        """One pure step from ``state``; pinned indices (one per side, ``None`` to
-        draw) replace the drawn ones."""
+        """One pure step from ``state``: the step :meth:`apply` takes, on copies.
+
+        ``pinned`` gives the step's indices side by side, column side first:
+        ``Kernel(REK, a, b).step(state, rng, j, i)`` projects ``z`` off
+        column ``j``, then ``x`` onto row ``i``.  ``None``, or no indices at
+        all, draws them as :meth:`draw` does.  A pinned index must be an
+        integer in range and, on a side drawn by squared norm, pick a
+        nonzero row or column.  The indices go to the ``last_*`` fields.
+        """
+        sides = [name.removeprefix("last_").replace("_", " ") for name in self._fields]
+        pinned = pinned or (None,) * len(sides)
+        if len(pinned) != len(sides):
+            raise ValueError(f"a {self._method!r} step has {len(sides)} side(s) to pin "
+                             f"({', '.join(sides)}), got {len(pinned)} indices")
         drawn = self.draw(rng, 1) if any(k is None for k in pinned) else [[None]] * len(pinned)
-        ks = [d[0] if k is None else int(k) for k, d in zip(pinned, drawn)]
+        ks = [d[0] if k is None else _check_pinned(k, pick, side)
+              for k, d, pick, side in zip(pinned, drawn, self._picks, sides)]
         x, z = state.x.copy(), None if state.z is None else state.z.copy()
         self.apply(x, z, [[k] for k in ks])
         return replace(state, x=x, z=z, iteration=state.iteration + 1, **dict(zip(self._fields, ks)))
 
 
-def rk_step(state, a, b, rng, sampler: NormSampler | None = None, row_index: int | None = None) -> SolverState:
-    """One ``rk`` step: project ``x`` onto the hyperplane of one row, drawn by
-    squared norm unless ``row_index`` pins it (used by tests and diagnostics)."""
-    return Kernel(RK, a, b, rows=sampler).step(state, rng, row_index)
-
-
-def rek_step(state, a, b, rng, rows: NormSampler | None = None, cols: NormSampler | None = None,
-             row_index: int | None = None, col_index: int | None = None) -> SolverState:
-    """One ``rek`` step: project ``z`` off one column, then ``x`` onto one row of
-    ``a x = b - z`` with the updated ``z``; the column is drawn first, each by
-    squared norm."""
-    return Kernel(REK, a, b, rows=rows, cols=cols).step(state, rng, col_index, row_index)
-
-
-def block_kaczmarz_step(state, b, row_plan: BlockPlan, rng, block_index: int | None = None) -> SolverState:
-    """One ``block`` step: project ``x`` onto the solution space of one row block, drawn uniformly."""
-    return Kernel(BLOCK, None, b, rows=row_plan).step(state, rng, block_index)
-
-
-def double_block_step(state, b, row_plan: BlockPlan, col_plan: BlockPlan, rng,
-                      col_block: int | None = None, row_block: int | None = None) -> SolverState:
-    """One ``double`` step: project ``z`` off the range of one column block, then
-    ``x`` onto the solution space of ``a_block x = (b - z)_block`` for one row
-    block, using the updated ``z``."""
-    return Kernel(DOUBLE, None, b, rows=row_plan, cols=col_plan).step(state, rng, col_block, row_block)
-
-
-def block_cd_step(state, b, col_plan: BlockPlan, rng, block_index: int | None = None) -> SolverState:
-    """One ``blockcd`` step on a uniformly drawn column block.
-
-    The step reads ``state.x`` only: the ``z`` it returns is recomputed as
-    ``b - a @ x``, which is ``z - A_k w`` when the given ``z`` is
-    ``b - a @ x``.  Each call assembles the n x d matrix from the plan's blocks
-    and builds the O(d^2) descent arrays, O(n d^2) work; :func:`run` builds
-    them once per run."""
-    return Kernel(BLOCK_CD, None, b, cols=col_plan).step(state, rng, block_index)
-
-
-def hybrid_step(state, a, b, row_plan: BlockPlan, rng, cols: NormSampler | None = None,
-                col_index: int | None = None, row_block: int | None = None) -> SolverState:
-    """One ``hybrid`` step: the single-column projection of ``rek``, then the
-    row-block update of ``double`` (a diagnostic of mismatched speeds)."""
-    return Kernel(HYBRID, a, b, rows=row_plan, cols=cols).step(state, rng, col_index, row_block)
+def _check_pinned(k, pick, side: str) -> int:
+    """``k`` as an index that ``pick`` can draw, or a ``ValueError`` naming ``side``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"pinned {side} index must be an integer, got {k!r}")
+    weighted = isinstance(pick, NormSampler)
+    size = pick.sq_norms.size if weighted else pick.n_blocks
+    if not 0 <= k < size:
+        raise ValueError(f"pinned {side} index {k} is outside [0, {size})")
+    if weighted and pick.sq_norms[k] == 0:
+        raise ValueError(f"pinned {side} {k} has zero norm and is never drawn")
+    return int(k)
 
 
 def epoch_length(method: str, n_rows: int, row_blocks: int | None = None, col_blocks: int | None = None) -> int:

@@ -30,13 +30,7 @@ from blockkaczmarz.harness import (
 )
 from blockkaczmarz.matio import write_matrix, write_vector
 from blockkaczmarz.paving import COLUMNS, paving_bounds, random_partition
-from blockkaczmarz.solvers import (
-    StopRule,
-    block_cd_step,
-    double_block_step,
-    initial_state,
-    make_block_plan,
-)
+from blockkaczmarz.solvers import BLOCK_CD, DOUBLE, Kernel, StopRule, initial_state, make_block_plan
 from blockkaczmarz.systems import make_system
 from blockkaczmarz.theory import double_block_error_bound, rate_constants, z_error_envelope
 
@@ -63,10 +57,11 @@ def test_criterion_01_blockcd_residual_identity():
         p_col = (2, 3, 5)[trial % 3]
         plan = make_block_plan(a, random_partition(10, p_col, rng, axis=COLUMNS))
         state = initial_state(sys_, "blockcd")
+        kernel = Kernel(BLOCK_CD, a, b, cols=plan)
         sigma_max = sys_.spectral.sigma_max
         b_norm = np.linalg.norm(b)
         for _ in range(500):
-            state = block_cd_step(state, b, plan, rng)
+            state = kernel.step(state, rng)
             gap = np.linalg.norm(state.z - (b - a @ state.x))
             worst = max(worst, gap / (b_norm + sigma_max * np.linalg.norm(state.x)))
     elapsed = time.perf_counter() - t0
@@ -114,6 +109,7 @@ def double_block_runs():
     row_plan = make_block_plan(system.a, row_part)
     col_plan = make_block_plan(system.a, col_part)
     consts = rate_constants(system, paving_bounds(system.a, row_part), paving_bounds(system.a, col_part))
+    kernel = Kernel(DOUBLE, system.a, system.b, rows=row_plan, cols=col_plan)
     runs, steps = 200, 50
     z_sq = np.zeros((runs, steps + 1))
     x_sq = np.zeros((runs, steps + 1))
@@ -123,7 +119,7 @@ def double_block_runs():
         z_sq[r, 0] = np.sum((state.z - system.b_perp) ** 2)
         x_sq[r, 0] = np.sum((state.x - system.x_ls) ** 2)
         for k in range(1, steps + 1):
-            state = double_block_step(state, system.b, row_plan, col_plan, g)
+            state = kernel.step(state, g)
             z_sq[r, k] = np.sum((state.z - system.b_perp) ** 2)
             x_sq[r, k] = np.sum((state.x - system.x_ls) ** 2)
     return system, consts, z_sq.mean(axis=0), x_sq.mean(axis=0), time.perf_counter() - t0

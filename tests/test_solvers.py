@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,20 +14,16 @@ from blockkaczmarz.solvers import (
     HYBRID,
     REK,
     RK,
+    METHODS,
     ConfigError,
+    Kernel,
     MethodConfig,
     NormSampler,
     SolverState,
     StopRule,
-    block_cd_step,
-    block_kaczmarz_step,
-    double_block_step,
     epoch_length,
-    hybrid_step,
     initial_state,
     make_block_plan,
-    rek_step,
-    rk_step,
     run,
 )
 from blockkaczmarz.systems import make_system
@@ -90,22 +88,23 @@ class TestNormSampler:
 class TestRkStep:
     def test_identity_projection(self):
         state = SolverState(x=np.zeros(2), z=None)
-        out = rk_step(state, np.eye(2), np.array([1.0, 2.0]), np.random.default_rng(0), row_index=0)
+        out = Kernel(RK, np.eye(2), np.array([1.0, 2.0])).step(state, np.random.default_rng(0), 0)
         assert np.array_equal(out.x, [1.0, 0.0])
         assert out.last_row == 0 and out.iteration == 1
 
     def test_symmetric_projection(self):
         a = np.array([[1.0, 1.0]])
         state = SolverState(x=np.zeros(2), z=None)
-        out = rk_step(state, a, np.array([2.0]), np.random.default_rng(0), row_index=0)
+        out = Kernel(RK, a, np.array([2.0])).step(state, np.random.default_rng(0), 0)
         np.testing.assert_allclose(out.x, [1.0, 1.0], atol=1e-15)
 
     def test_sampled_constraint_holds_after_step(self, rng):
         sys_ = small_system(rng, inconsistent=True)
         state = initial_state(sys_, RK)
+        kernel = Kernel(RK, sys_.a, sys_.b)
         g = np.random.default_rng(3)
         for _ in range(50):
-            state = rk_step(state, sys_.a, sys_.b, g)
+            state = kernel.step(state, g)
             i = state.last_row
             assert abs(sys_.a[i] @ state.x - sys_.b[i]) <= 1e-12 * (abs(sys_.b[i]) + np.linalg.norm(sys_.a[i]) * np.linalg.norm(state.x))
 
@@ -113,7 +112,7 @@ class TestRkStep:
         sys_ = small_system(rng)
         state = initial_state(sys_, RK)
         x_before = state.x.copy()
-        rk_step(state, sys_.a, sys_.b, np.random.default_rng(0))
+        Kernel(RK, sys_.a, sys_.b).step(state, np.random.default_rng(0))
         assert np.array_equal(state.x, x_before)
 
 
@@ -122,25 +121,27 @@ class TestRekStep:
         a = np.eye(2)
         b = np.array([1.0, 2.0])
         state = SolverState(x=np.zeros(2), z=b.copy())
-        out = rek_step(state, a, b, np.random.default_rng(0), row_index=0, col_index=0)
+        out = Kernel(REK, a, b).step(state, np.random.default_rng(0), 0, 0)
         assert np.array_equal(out.z, [0.0, 2.0])
         assert np.array_equal(out.x, [1.0, 0.0])
 
     def test_fixed_point_at_solution(self, rng):
         sys_ = small_system(rng)  # consistent
         state = SolverState(x=sys_.x_ls.copy(), z=np.zeros(sys_.n_rows))
+        kernel = Kernel(REK, sys_.a, sys_.b)
         g = np.random.default_rng(1)
         for _ in range(20):
-            state = rek_step(state, sys_.a, sys_.b, g)
+            state = kernel.step(state, g)
         assert np.linalg.norm(state.x - sys_.x_ls) <= 1e-10 * np.linalg.norm(sys_.x_ls)
         assert np.linalg.norm(state.z) <= 1e-10 * np.linalg.norm(sys_.b)
 
     def test_z_orthogonal_to_sampled_column(self, rng):
         sys_ = small_system(rng, inconsistent=True)
         state = initial_state(sys_, REK)
+        kernel = Kernel(REK, sys_.a, sys_.b)
         g = np.random.default_rng(5)
         for _ in range(50):
-            state = rek_step(state, sys_.a, sys_.b, g)
+            state = kernel.step(state, g)
             k = state.last_col
             col = sys_.a[:, k]
             assert abs(col @ state.z) <= 1e-12 * np.linalg.norm(col) * max(np.linalg.norm(state.z), 1e-30)
@@ -151,23 +152,24 @@ class TestBlockKaczmarzStep:
         sys_ = small_system(rng, inconsistent=True)
         plan = make_block_plan(sys_.a, whole_partition(sys_.n_rows, ROWS))
         state = initial_state(sys_, BLOCK)
-        out = block_kaczmarz_step(state, sys_.b, plan, np.random.default_rng(0))
+        out = Kernel(BLOCK, sys_.a, sys_.b, rows=plan).step(state, np.random.default_rng(0))
         assert np.linalg.norm(out.x - sys_.x_ls) <= 1e-10 * np.linalg.norm(sys_.x_ls)
 
     def test_satisfied_block_is_fixed_point(self, rng):
         sys_ = small_system(rng)  # consistent: x_ls satisfies every block
         plan = make_block_plan(sys_.a, random_partition(sys_.n_rows, 4, rng))
         state = SolverState(x=sys_.x_ls.copy(), z=None)
-        out = block_kaczmarz_step(state, sys_.b, plan, np.random.default_rng(0))
+        out = Kernel(BLOCK, sys_.a, sys_.b, rows=plan).step(state, np.random.default_rng(0))
         assert np.linalg.norm(out.x - sys_.x_ls) <= 1e-12 * np.linalg.norm(sys_.x_ls)
 
     def test_block_residual_vanishes_after_step(self, rng):
         sys_ = small_system(rng, inconsistent=True)
         plan = make_block_plan(sys_.a, random_partition(sys_.n_rows, 5, rng))
         state = initial_state(sys_, BLOCK)
+        kernel = Kernel(BLOCK, sys_.a, sys_.b, rows=plan)
         g = np.random.default_rng(2)
         for _ in range(40):
-            state = block_kaczmarz_step(state, sys_.b, plan, g)
+            state = kernel.step(state, g)
             k = state.last_row_block
             idx = plan.block(k)
             resid = np.linalg.norm(sys_.b[idx] - plan.submatrices[k] @ state.x)
@@ -181,7 +183,7 @@ class TestDoubleBlockStep:
         row_plan = make_block_plan(sys_.a, whole_partition(2, ROWS))
         col_plan = make_block_plan(sys_.a, whole_partition(2, COLUMNS))
         state = initial_state(sys_, DOUBLE)
-        out = double_block_step(state, sys_.b, row_plan, col_plan, np.random.default_rng(0))
+        out = Kernel(DOUBLE, sys_.a, sys_.b, rows=row_plan, cols=col_plan).step(state, np.random.default_rng(0))
         assert np.allclose(out.z, 0.0, atol=1e-14)
         np.testing.assert_allclose(out.x, [1.0, 2.0], atol=1e-14)
 
@@ -194,9 +196,10 @@ class TestDoubleBlockStep:
         row_plan = make_block_plan(a, whole_partition(6, ROWS))
         col_plan = make_block_plan(a, whole_partition(1, COLUMNS))
         state = initial_state(sys_, DOUBLE)
+        kernel = Kernel(DOUBLE, a, b, rows=row_plan, cols=col_plan)
         g = np.random.default_rng(0)
         for _ in range(10):
-            state = double_block_step(state, b, row_plan, col_plan, g)
+            state = kernel.step(state, g)
             assert np.allclose(state.x, 0.0, atol=1e-12)
 
     def test_per_step_contracts(self, rng):
@@ -204,10 +207,11 @@ class TestDoubleBlockStep:
         row_plan = make_block_plan(sys_.a, random_partition(20, 4, rng))
         col_plan = make_block_plan(sys_.a, random_partition(10, 4, rng, axis=COLUMNS))
         state = initial_state(sys_, DOUBLE)
+        kernel = Kernel(DOUBLE, sys_.a, sys_.b, rows=row_plan, cols=col_plan)
         g = np.random.default_rng(9)
         for _ in range(100):
             z_prev = state.z
-            state = double_block_step(state, sys_.b, row_plan, col_plan, g)
+            state = kernel.step(state, g)
             t = state.last_col_block
             col_block = col_plan.submatrices[t]
             # projection removed the column-block component of z
@@ -229,10 +233,11 @@ class TestDoubleBlockStep:
         row_plan = make_block_plan(sys_.a, random_partition(20, 4, rng))
         col_plan = make_block_plan(sys_.a, random_partition(10, 4, rng, axis=COLUMNS))
         state = initial_state(sys_, DOUBLE)
+        kernel = Kernel(DOUBLE, sys_.a, sys_.b, rows=row_plan, cols=col_plan)
         g = np.random.default_rng(12)
         for _ in range(60):
             x_prev = state.x
-            state = double_block_step(state, sys_.b, row_plan, col_plan, g)
+            state = kernel.step(state, g)
             u = state.last_row_block
             fact = row_plan.factorizations[u]
             idx = row_plan.block(u)
@@ -249,9 +254,10 @@ class TestDoubleBlockStep:
         row_plan = make_block_plan(sys_.a, random_partition(20, 4, rng))
         col_plan = make_block_plan(sys_.a, random_partition(10, 2, rng, axis=COLUMNS))
         state = SolverState(x=sys_.x_ls.copy(), z=sys_.b_perp.copy())
+        kernel = Kernel(DOUBLE, sys_.a, sys_.b, rows=row_plan, cols=col_plan)
         g = np.random.default_rng(3)
         for _ in range(20):
-            state = double_block_step(state, sys_.b, row_plan, col_plan, g)
+            state = kernel.step(state, g)
         assert np.linalg.norm(state.x - sys_.x_ls) <= 1e-10 * np.linalg.norm(sys_.x_ls)
         assert np.linalg.norm(state.z - sys_.b_perp) <= 1e-10 * np.linalg.norm(sys_.b)
 
@@ -262,7 +268,7 @@ class TestBlockCdStep:
         part = Partition(axis=COLUMNS, blocks=(np.array([0]), np.array([1]), np.array([2])), universe_size=3)
         plan = make_block_plan(sys_.a, part)
         state = initial_state(sys_, BLOCK_CD)
-        out = block_cd_step(state, sys_.b, plan, np.random.default_rng(0), block_index=0)
+        out = Kernel(BLOCK_CD, sys_.a, sys_.b, cols=plan).step(state, np.random.default_rng(0), 0)
         assert np.array_equal(out.x, [1.0, 0.0, 0.0])
         assert np.array_equal(out.z, [0.0, 2.0, 3.0])
 
@@ -270,9 +276,10 @@ class TestBlockCdStep:
         sys_ = small_system(rng)
         plan = make_block_plan(sys_.a, random_partition(10, 3, rng, axis=COLUMNS))
         state = SolverState(x=sys_.x_ls.copy(), z=np.zeros(20))
+        kernel = Kernel(BLOCK_CD, sys_.a, sys_.b, cols=plan)
         g = np.random.default_rng(0)
         for _ in range(10):
-            state = block_cd_step(state, sys_.b, plan, g)
+            state = kernel.step(state, g)
         assert np.linalg.norm(state.x - sys_.x_ls) <= 1e-12 * np.linalg.norm(sys_.x_ls)
 
     def test_rank_deficient_matrix_reduces_image_error(self, rng):
@@ -283,9 +290,10 @@ class TestBlockCdStep:
         sys_ = make_system(a, rng.standard_normal(20))
         plan = make_block_plan(a, random_partition(6, 2, rng, axis=COLUMNS))
         state = initial_state(sys_, BLOCK_CD)
+        kernel = Kernel(BLOCK_CD, sys_.a, sys_.b, cols=plan)
         g = np.random.default_rng(1)
         for _ in range(400):
-            state = block_cd_step(state, sys_.b, plan, g)
+            state = kernel.step(state, g)
         image_err = np.linalg.norm(a @ (state.x - sys_.x_ls))
         assert image_err <= 1e-8 * np.linalg.norm(sys_.b)
         # the trace still reports both norms
@@ -301,10 +309,11 @@ class TestBlockCdStep:
         sys_ = small_system(rng, inconsistent=True)
         plan = make_block_plan(sys_.a, random_partition(10, 3, rng, axis=COLUMNS))
         state = initial_state(sys_, BLOCK_CD)
+        kernel = Kernel(BLOCK_CD, sys_.a, sys_.b, cols=plan)
         g = np.random.default_rng(7)
         sigma_max = sys_.spectral.sigma_max
         for _ in range(500):
-            state = block_cd_step(state, sys_.b, plan, g)
+            state = kernel.step(state, g)
             gap = np.linalg.norm(state.z - (sys_.b - sys_.a @ state.x))
             assert gap <= 1e-10 * (np.linalg.norm(sys_.b) + sigma_max * np.linalg.norm(state.x))
 
@@ -316,13 +325,11 @@ class TestZMonotonicity:
         col_plan = make_block_plan(sys_.a, random_partition(10, 4, rng, axis=COLUMNS))
         for method in (DOUBLE, BLOCK_CD):
             state = initial_state(sys_, method)
+            kernel = Kernel(method, sys_.a, sys_.b, rows=row_plan if method == DOUBLE else None, cols=col_plan)
             g = np.random.default_rng(4)
             prev = np.linalg.norm(state.z - sys_.b_perp)
             for _ in range(80):
-                if method == DOUBLE:
-                    state = double_block_step(state, sys_.b, row_plan, col_plan, g)
-                else:
-                    state = block_cd_step(state, sys_.b, col_plan, g)
+                state = kernel.step(state, g)
                 cur = np.linalg.norm(state.z - sys_.b_perp)
                 assert cur <= prev * (1 + 1e-12)
                 prev = cur
@@ -355,7 +362,7 @@ class TestHybrid:
         row_plan = make_block_plan(sys_.a, random_partition(20, 4, rng))
         state = initial_state(sys_, HYBRID)
         g = np.random.default_rng(0)
-        state = hybrid_step(state, sys_.a, sys_.b, row_plan, g)
+        state = Kernel(HYBRID, sys_.a, sys_.b, rows=row_plan).step(state, g)
         k = state.last_col
         assert abs(sys_.a[:, k] @ state.z) <= 1e-12 * np.linalg.norm(sys_.a[:, k]) * np.linalg.norm(sys_.b)
 
@@ -593,15 +600,14 @@ def mixed_setup(seed=0, n=40):
     return sys_, configs, make_block_plan(sys_.a, rowp), make_block_plan(sys_.a, colp)
 
 
-# One pure step of each method, through its public wrapper.
-STEPPERS = {
-    RK: lambda s, sys_, rp, cp, g: rk_step(s, sys_.a, sys_.b, g),
-    REK: lambda s, sys_, rp, cp, g: rek_step(s, sys_.a, sys_.b, g),
-    BLOCK: lambda s, sys_, rp, cp, g: block_kaczmarz_step(s, sys_.b, rp, g),
-    DOUBLE: lambda s, sys_, rp, cp, g: double_block_step(s, sys_.b, rp, cp, g),
-    BLOCK_CD: lambda s, sys_, rp, cp, g: block_cd_step(s, sys_.b, cp, g),
-    HYBRID: lambda s, sys_, rp, cp, g: hybrid_step(s, sys_.a, sys_.b, rp, g),
-}
+STEP_METHODS = sorted(METHODS + (HYBRID,))
+
+
+def step_kernel(method, sys_, row_plan, col_plan):
+    """The kernel of ``method`` on ``sys_``, given the plans the method takes."""
+    rows = row_plan if method in (BLOCK, DOUBLE, HYBRID) else None
+    cols = col_plan if method in (DOUBLE, BLOCK_CD) else None
+    return Kernel(method, sys_.a, sys_.b, rows=rows, cols=cols)
 
 
 def plan_arrays(*plans):
@@ -615,24 +621,25 @@ def plan_arrays(*plans):
 
 @pytest.mark.parametrize(
     "method, n",
-    [pytest.param(m, 40, id=m) for m in sorted(STEPPERS)]
-    + [pytest.param(m, 2 * _CHUNK + 11, id=f"{m}-multichunk") for m in sorted(STEPPERS)],
+    [pytest.param(m, 40, id=m) for m in STEP_METHODS]
+    + [pytest.param(m, 2 * _CHUNK + 11, id=f"{m}-multichunk") for m in STEP_METHODS],
 )
 def test_batched_run_matches_stepwise_wrappers(method, n):
     # the epoch kernel draws a whole epoch at once; the stream must be the one
-    # the wrappers draw step by step, and rk/rek's chunked solves must give
-    # their iterates
+    # Kernel.step draws step by step, and rk/rek's chunked solves must give
+    # its iterates
     sys_, configs, row_plan, col_plan = mixed_setup(n=n)
     config = configs[method]
     epochs = 6
     trace = run(sys_, config, StopRule(max_epochs=epochs, error_threshold=1e-300))
     per_epoch = epoch_length(method, sys_.n_rows, row_blocks=row_plan.n_blocks, col_blocks=col_plan.n_blocks)
     state = initial_state(sys_, method)
+    kernel = step_kernel(method, sys_, row_plan, col_plan)
     g = np.random.default_rng(config.seed)
     assert len(trace.rows) == epochs + 1
     for row in trace.rows[1:]:
         for _ in range(per_epoch):
-            state = STEPPERS[method](state, sys_, row_plan, col_plan, g)
+            state = kernel.step(state, g)
         assert row.error_l2 == pytest.approx(np.linalg.norm(state.x - sys_.x_ls), rel=1e-12)
         assert row.residual_l2 == pytest.approx(np.linalg.norm(sys_.b - sys_.a @ state.x), rel=1e-12)
         if state.z is None:
@@ -643,21 +650,22 @@ def test_batched_run_matches_stepwise_wrappers(method, n):
 
 
 class TestNoMutation:
-    @pytest.mark.parametrize("method", sorted(STEPPERS))
+    @pytest.mark.parametrize("method", STEP_METHODS)
     def test_step_wrappers_leave_inputs_alone(self, method):
         sys_, _, row_plan, col_plan = mixed_setup(3)
         state = initial_state(sys_, method)
         before = [sys_.a, sys_.b, state.x, *([] if state.z is None else [state.z]), *plan_arrays(row_plan, col_plan)]
         copies = [v.copy() for v in before]
+        kernel = step_kernel(method, sys_, row_plan, col_plan)
         g = np.random.default_rng(0)
         out = state
         for _ in range(30):
-            out = STEPPERS[method](out, sys_, row_plan, col_plan, g)
+            out = kernel.step(out, g)
         assert out.iteration == 30 and not np.array_equal(out.x, state.x)
         for v, c in zip(before, copies):
             assert np.array_equal(v, c)
 
-    @pytest.mark.parametrize("method", sorted(STEPPERS))
+    @pytest.mark.parametrize("method", STEP_METHODS)
     def test_run_leaves_system_and_plans_alone(self, method, monkeypatch):
         sys_, configs, _, _ = mixed_setup(4)
         built = []
@@ -678,3 +686,90 @@ class TestNoMutation:
         for plan, plan_copies in built:
             for v, c in zip(plan_arrays(plan), plan_copies):
                 assert np.array_equal(v, c)
+
+
+LAST_FIELDS = ("iteration", "last_row", "last_col", "last_row_block", "last_col_block")
+
+
+def assert_same_state(s1, s2):
+    for name in LAST_FIELDS:
+        assert getattr(s1, name) == getattr(s2, name)
+    assert np.array_equal(s1.x, s2.x)
+    assert (s1.z is None) == (s2.z is None)
+    assert s1.z is None or np.array_equal(s1.z, s2.z)
+
+
+class TestKernelStep:
+    @pytest.mark.parametrize("method", STEP_METHODS)
+    def test_no_pinned_indices_draws_every_side(self, method):
+        sys_, _, row_plan, col_plan = mixed_setup()
+        kernel = step_kernel(method, sys_, row_plan, col_plan)
+        state = initial_state(sys_, method)
+        sides = 2 if method in (REK, DOUBLE, HYBRID) else 1
+        drawn = kernel.step(state, np.random.default_rng(6))
+        assert drawn.iteration == 1
+        assert_same_state(drawn, kernel.step(state, np.random.default_rng(6), *[None] * sides))
+
+    @pytest.mark.parametrize("method, pinned, sides", [(RK, (0, 0), 1), (REK, (0,), 2), (DOUBLE, (0, 0, 0), 2), (BLOCK_CD, (0, 1), 1)])
+    def test_wrong_number_of_pinned_indices_rejected(self, method, pinned, sides):
+        sys_, _, row_plan, col_plan = mixed_setup()
+        kernel = step_kernel(method, sys_, row_plan, col_plan)
+        with pytest.raises(ValueError, match=f"has {sides} side"):
+            kernel.step(initial_state(sys_, method), np.random.default_rng(0), *pinned)
+
+    @pytest.mark.parametrize("method, k", [(RK, 2.7), (RK, 2.0), (RK, True), (BLOCK, 1.5), (BLOCK_CD, "0")])
+    def test_non_integer_index_rejected(self, method, k):
+        sys_, _, row_plan, col_plan = mixed_setup()
+        kernel = step_kernel(method, sys_, row_plan, col_plan)
+        state = initial_state(sys_, method)
+        with pytest.raises(ValueError, match="must be an integer"):
+            kernel.step(state, np.random.default_rng(0), k)
+        # numpy integers are indices like ints
+        assert kernel.step(state, np.random.default_rng(0), np.int64(2)).iteration == 1
+
+    @pytest.mark.parametrize(
+        "method, pinned",
+        [(BLOCK, (-1,)), (BLOCK, (5,)), (BLOCK_CD, (3,)), (RK, (-1,)), (RK, (40,)), (REK, (12, 0)), (DOUBLE, (0, 5))],
+    )
+    def test_index_out_of_range_rejected(self, method, pinned):
+        # mixed_setup: 40 rows, 12 columns, 5 row blocks, 3 column blocks
+        sys_, _, row_plan, col_plan = mixed_setup()
+        kernel = step_kernel(method, sys_, row_plan, col_plan)
+        with pytest.raises(ValueError, match="outside"):
+            kernel.step(initial_state(sys_, method), np.random.default_rng(0), *pinned)
+
+    @pytest.mark.parametrize("method, pinned", [(RK, (3,)), (REK, (0, 3)), (REK, (7, 0)), (HYBRID, (7, 0))])
+    def test_zero_weight_index_rejected(self, method, pinned):
+        # row 3 and column 7 are zero: a step on them would divide by zero
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((20, 10))
+        a[3], a[:, 7] = 0.0, 0.0
+        sys_ = make_system(a, rng.standard_normal(20))
+        rows = make_block_plan(a, random_partition(20, 4, rng)) if method == HYBRID else None
+        kernel = Kernel(method, sys_.a, sys_.b, rows=rows)
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(ValueError, match="zero norm"):
+            kernel.step(initial_state(sys_, method), np.random.default_rng(0), *pinned)
+
+    @pytest.mark.parametrize("method", STEP_METHODS)
+    def test_reused_kernel_matches_fresh_kernels(self, method):
+        # the arrays a kernel builds lazily (the row blocks' pinv(A_k)^T,
+        # blockcd's C and h_b, rek's chunked a^T and a^T a) must hold no step
+        # state: one kernel, reused for single steps and for applies of 40
+        # steps in between, gives the states of a fresh kernel per call
+        sys_, _, row_plan, col_plan = mixed_setup(n=75)
+        kernel = step_kernel(method, sys_, row_plan, col_plan)
+
+        def advance(k, state, g, t):
+            if t % 10 != 9:
+                return k.step(state, g)
+            x, z = state.x.copy(), None if state.z is None else state.z.copy()
+            k.apply(x, z, k.draw(g, 40))
+            return replace(state, x=x, z=z)
+
+        reused = fresh = initial_state(sys_, method)
+        g_reused, g_fresh = np.random.default_rng(8), np.random.default_rng(8)
+        for t in range(60):
+            reused = advance(kernel, reused, g_reused, t)
+            fresh = advance(step_kernel(method, sys_, row_plan, col_plan), fresh, g_fresh, t)
+            assert_same_state(reused, fresh)
+        assert reused.iteration == 54

@@ -7,13 +7,14 @@ from blockkaczmarz.harness import gen_inconsistent
 from blockkaczmarz.paving import COLUMNS, PavingParams, paving_bounds, random_partition, row_standardize
 from blockkaczmarz.solvers import (
     BLOCK,
+    BLOCK_CD,
+    REK,
     RK,
+    Kernel,
     MethodConfig,
     StopRule,
-    block_cd_step,
     initial_state,
     make_block_plan,
-    rek_step,
     run,
 )
 from blockkaczmarz.systems import make_system
@@ -298,13 +299,14 @@ class TestEnvelopesVsEmpirics:
         sp = sys_.spectral
         xls_sq = float(np.dot(sys_.x_ls, sys_.x_ls))
         b_sq = float(np.dot(sys_.b, sys_.b))
+        kernel = Kernel(REK, sys_.a, sys_.b)
         runs, steps = 200, 30
         err_sq = np.zeros((runs, steps + 1))
         for r in range(runs):
             state = initial_state(sys_, "rek")
             g = np.random.default_rng(5000 + r)
             for k in range(1, steps + 1):
-                state = rek_step(state, sys_.a, sys_.b, g)
+                state = kernel.step(state, g)
                 err_sq[r, k] = np.sum((state.x - sys_.x_ls) ** 2)
         mean = err_sq.mean(axis=0)
         for j in range(1, steps + 1):
@@ -317,13 +319,14 @@ class TestEnvelopesVsEmpirics:
         plan = make_block_plan(sys_.a, colp)
         gamma_col = contraction_rate(sys_.spectral.sigma_min_nonzero**2, paving_bounds(sys_.a, colp))
         b_range_sq = float(np.dot(sys_.b_range, sys_.b_range))
+        kernel = Kernel(BLOCK_CD, sys_.a, sys_.b, cols=plan)
         runs, steps = 200, 40
         img_sq = np.zeros((runs, steps + 1))
         for r in range(runs):
             state = initial_state(sys_, "blockcd")
             g = np.random.default_rng(7000 + r)
             for k in range(1, steps + 1):
-                state = block_cd_step(state, sys_.b, plan, g)
+                state = kernel.step(state, g)
                 img_sq[r, k] = np.sum((sys_.a @ (sys_.x_ls - state.x)) ** 2)
         mean = img_sq.mean(axis=0)
         for t in range(1, steps + 1):
