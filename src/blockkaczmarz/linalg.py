@@ -37,34 +37,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def row_submatrix(a: np.ndarray, indices) -> np.ndarray:
-    """Return a contiguous copy of the rows of ``a`` selected by ``indices``.
-
-    Order is preserved; duplicate indices are rejected.
-    """
-    a = as_matrix(a)
-    idx = _check_indices(indices, a.shape[0], "row")
-    return np.ascontiguousarray(a[idx, :])
-
-
-def col_submatrix(a: np.ndarray, indices) -> np.ndarray:
-    """Return a contiguous copy of the columns of ``a`` selected by ``indices``."""
-    a = as_matrix(a)
-    idx = _check_indices(indices, a.shape[1], "column")
-    return np.ascontiguousarray(a[:, idx])
-
-
-def _check_indices(indices, bound: int, kind: str) -> np.ndarray:
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError(f"{kind} index set must be a nonempty 1-D sequence")
-    if idx.min() < 0 or idx.max() >= bound:
-        raise ValueError(f"{kind} index out of range [0, {bound})")
-    if np.unique(idx).size != idx.size:
-        raise ValueError(f"duplicate {kind} indices")
-    return idx
-
-
 @dataclass(frozen=True)
 class SvdFactorization:
     """Thin SVD ``a = u @ diag(s) @ v.T`` with a numerical-rank cutoff.
@@ -106,15 +78,26 @@ def svd_factor(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) ->
         converge (no silent garbage).
     """
     a = as_matrix(a)
+    u, s, vt = _svd(a, rank_tolerance, compute_uv=True)
+    return SvdFactorization(u=u, singular_values=s, v=vt.T, rank_tolerance=float(rank_tolerance),
+                            rank=_numerical_rank(s, rank_tolerance))
+
+
+def _svd(a: np.ndarray, rank_tolerance: float, compute_uv: bool):
+    """``np.linalg.svd`` of a validated ``a``, thin, with the tolerance checked
+    and a convergence failure raised as ``ValueError``."""
     if not 0.0 <= rank_tolerance < 1.0:
         raise ValueError(f"rank_tolerance must lie in [0, 1), got {rank_tolerance}")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed to converge for {a.shape[0]}x{a.shape[1]} matrix") from exc
+
+
+def _numerical_rank(s: np.ndarray, rank_tolerance: float) -> int:
+    """Number of singular values above ``rank_tolerance * s[0]``."""
     cutoff = rank_tolerance * s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    return SvdFactorization(u=u, singular_values=s, v=vt.T, rank_tolerance=float(rank_tolerance), rank=rank)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def pinv_apply(fact: SvdFactorization, v: np.ndarray) -> np.ndarray:
@@ -150,9 +133,14 @@ class SpectralSummary:
 
 
 def spectral_summary(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SpectralSummary:
-    """Compute :class:`SpectralSummary` for a nonzero matrix."""
+    """Compute :class:`SpectralSummary` for a nonzero matrix.
+
+    Only the singular values are computed, not the singular vectors; the rank
+    rule is :func:`svd_factor`'s.
+    """
     a = as_matrix(a)
-    return summarize_factorization(a, svd_factor(a, rank_tolerance))
+    s = _svd(a, rank_tolerance, compute_uv=False)
+    return _summarize(a, s, _numerical_rank(s, rank_tolerance))
 
 
 def summarize_factorization(a: np.ndarray, fact: SvdFactorization) -> SpectralSummary:
@@ -161,11 +149,14 @@ def summarize_factorization(a: np.ndarray, fact: SvdFactorization) -> SpectralSu
     Only the Frobenius norm is taken from ``a`` itself; the singular values
     come from ``fact``, so no second SVD is computed.
     """
-    if fact.rank == 0:
+    return _summarize(a, fact.singular_values, fact.rank)
+
+
+def _summarize(a: np.ndarray, s: np.ndarray, rank: int) -> SpectralSummary:
+    if rank == 0:
         raise ValueError("spectral summary undefined for the zero matrix")
-    s = fact.singular_values
     sigma_max = float(s[0])
-    sigma_min = float(s[fact.rank - 1])
+    sigma_min = float(s[rank - 1])
     fro = float(np.linalg.norm(a))
     return SpectralSummary(
         sigma_min_nonzero=sigma_min,

@@ -2,7 +2,8 @@
 
 Matrix format: first line ``n d``, then ``n`` lines of ``d`` space-separated
 decimals (``#`` is not a comment).  Vector format: first line ``n``, then
-``n`` decimals, one per line.
+``n`` decimals, one per line.  Headers must be positive, and a blank, missing
+or malformed line raises ``ValueError`` naming the file.
 Values are written with 17 significant digits so a round trip preserves at
 least 15 significant digits.
 """
@@ -34,13 +35,7 @@ def read_matrix(path) -> np.ndarray:
         n, d = int(header[0]), int(header[1])
         if n < 1 or d < 1:
             raise ValueError(f"{path}: expected a positive 'n d' header, got {header!r}")
-        try:
-            with warnings.catch_warnings():
-                # loadtxt only warns on blank or missing rows; they are malformed here
-                warnings.simplefilter("error", UserWarning)
-                a = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=n)
-        except (ValueError, UserWarning) as exc:
-            raise ValueError(f"{path}: expected {n} rows of {d} entries: {exc}") from exc
+        a = _read_rows(fh, path, n, f"expected {n} rows of {d} entries")
     if a.shape != (n, d):
         raise ValueError(f"{path}: expected {n} rows of {d} entries, got {a.shape[0]} rows of {a.shape[1]}")
     return as_matrix(a, str(path))
@@ -60,5 +55,24 @@ def read_vector(path) -> np.ndarray:
         if len(header) != 1:
             raise ValueError(f"{path}: expected 'n' header, got {header!r}")
         n = int(header[0])
-        values = [float(fh.readline()) for _ in range(n)]
-    return as_vector(np.array(values, dtype=float), str(path))
+        if n < 1:
+            raise ValueError(f"{path}: expected a positive 'n' header, got {header!r}")
+        v = _read_rows(fh, path, n, f"expected {n} values")
+    if v.shape != (n, 1):
+        raise ValueError(f"{path}: expected {n} values, one per line, got {v.shape[0]} lines of {v.shape[1]}")
+    return as_vector(v[:, 0], str(path))
+
+
+def _read_rows(fh, path: Path, n: int, expected: str) -> np.ndarray:
+    """Up to ``n`` lines of space-separated decimals from ``fh``, as a 2-D array.
+
+    A malformed line raises ``ValueError`` naming ``path`` and what was
+    ``expected``.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns on blank or missing rows; they are malformed here
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=n)
+    except (ValueError, UserWarning) as exc:
+        raise ValueError(f"{path}: {expected}: {exc}") from exc

@@ -13,10 +13,11 @@ Five methods share one run loop:
     solution even on inconsistent systems.
 ``block``
     Project onto the solution space of a whole row block at once: the
-    block's residual ``r = (b - a x)_k`` first, then ``x += r @ pinv(A_k)^T``
-    through the block's precomputed, contiguous ``pinv(A_k)^T`` (not the
-    x-space form, which fixes the rounding of ``S^-1`` applied to ``b`` into
-    its fixed point); blocks are drawn uniformly from a fixed partition.
+    block's residual ``r = (b - a x)_k`` first, as one gemv of
+    ``[b_k | -A_k]`` on ``[1; x]``, then ``x += r @ pinv(A_k)^T`` through the
+    block's precomputed, contiguous ``pinv(A_k)^T`` (not the x-space form,
+    which fixes the rounding of ``S^-1`` applied to ``b`` into its fixed
+    point); blocks are drawn uniformly from a fixed partition.
 ``double``
     Block version of ``rek``: a column block projects ``z`` off a slice of
     the range, then the ``block`` step runs against ``b - z``:
@@ -49,11 +50,14 @@ steps as one triangular solve: a run of Kaczmarz steps is one forward
 substitution on the Gram matrix of its rows (Bjorck & Elfving, BIT 1979), and
 ``rek``'s column side is the same on the columns.  The iterates are those of
 the steps taken one by one, up to rounding.  ``block``, ``double``,
-``blockcd``, ``hybrid`` and single steps run step by step.
+``blockcd``, ``hybrid`` and single steps run step by step, each step only
+its ``np.dot`` calls and in-place updates on operands built before the
+epoch's step loop: three numpy calls per ``block`` or ``blockcd`` step.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -231,23 +235,54 @@ def _clear_zero_columns(sub: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(sub.any(axis=0)[:, None], v, 0.0)
 
 
-def _column_update(a, b, cols):
-    """Project ``z`` off column ``k`` of ``a``, or off the range of column block ``k``."""
-    if isinstance(cols, NormSampler):
-        at, sq = a.T, cols.sq_norms.tolist()
+class _Side:
+    """One side of a step: it picks a block and updates ``x`` or ``z`` for it.
 
-        def update(k, x, z):
-            col = at[k]
-            z -= ((col @ z) / sq[k]) * col
+    :meth:`prepare` builds what the steps on the blocks drawn for an epoch
+    need, before its step loop; :meth:`step` is then only the BLAS calls of
+    one step on operands built ahead, as contiguous arrays or their
+    transposes, through ``np.dot`` (the same gemv as ``@``, with less
+    dispatch).
+    """
 
-        return update
-    u, _, _ = _factors(cols)
-    ut = [m.T for m in u]
+    def prepare(self, ks) -> None:
+        """Build the operands of blocks ``ks``."""
 
-    def update(k, x, z):
-        z -= u[k] @ (ut[k] @ z)
+    def step(self, k, x, z) -> None:
+        raise NotImplementedError
 
-    return update
+    def run(self, ks, x, z) -> None:
+        """Run the steps ``ks`` of a method with this side alone."""
+        self.prepare(ks)
+        step = self.step
+        for k in ks:
+            step(k, x, z)
+
+
+class _NormColumns(_Side):
+    """Project ``z`` off column ``k`` of ``a``."""
+
+    def __init__(self, a, b, cols: NormSampler):
+        self._at, self._sq = a.T, cols.sq_norms.tolist()
+
+    def step(self, k, x, z) -> None:
+        col = self._at[k]
+        z -= (np.dot(col, z) / self._sq[k]) * col
+
+
+class _ColumnBlocks(_Side):
+    """Project ``z`` off the range of column block ``k``: ``z -= U_k (U_k^T z)``."""
+
+    def __init__(self, a, b, cols: BlockPlan):
+        self._u = [np.ascontiguousarray(u) for u in _factors(cols)[0]]
+        self._ut = [u.T for u in self._u]
+
+    def step(self, k, x, z) -> None:
+        z -= np.dot(self._u[k], np.dot(self._ut[k], z))
+
+
+def _column_side(a, b, cols) -> _Side:
+    return (_NormColumns if isinstance(cols, NormSampler) else _ColumnBlocks)(a, b, cols)
 
 
 class _PinvDescent:
@@ -269,12 +304,13 @@ class _PinvDescent:
     most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a`` instead,
     it would grow by ``cond(A_k)^2`` and diverge on nearly collinear blocks.
 
-    Each call runs a list of steps: it gathers ``x`` into block order and
-    computes ``h = h_b - R x`` first, and scatters ``x`` back and sets
+    Each :meth:`run` takes a list of steps: it gathers ``x`` into block order
+    and computes ``h = h_b - R x`` first, and scatters ``x`` back and sets
     ``z = b - a x`` last, so ``h`` drifts for one call at most, ``z`` is the
-    residual after every call, and the ``z`` passed in is not read.
-    ``C`` and ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the
-    first call.
+    residual after every call, and the ``z`` passed in is not read.  A step
+    is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and by
+    ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
+    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the first call.
     """
 
     def __init__(self, a, b, cols: BlockPlan):
@@ -305,19 +341,19 @@ class _PinvDescent:
             self._c[j] = rk @ half[r]
             self._hb[j] = lk @ utb[r]
 
-    def __call__(self, ks, x, z) -> None:
+    def run(self, ks, x, z) -> None:
         if self._c is None:
             self._build()
-        perm, c, slices = self._perm, self._c, self._slices
+        perm, c, slices, dot = self._perm, self._c, self._slices, np.dot
         xp = x[perm]
-        h = self._hb - xp @ c
+        h = self._hb - dot(xp, c)
         for k in ks:
             j = slices[k]
-            w = h[j].copy()
+            w = h[j]
             xp[j] += w
-            h -= w @ c[j]
+            h -= dot(w, c[j])
         x[perm] = xp
-        np.subtract(self._b, self._a @ x, out=z)
+        np.subtract(self._b, dot(self._a, x), out=z)
 
 
 def _slices(sizes) -> list[slice]:
@@ -326,42 +362,73 @@ def _slices(sizes) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
-def _row_update(a, b, rows):
-    """Project ``x`` onto the hyperplane of row ``k``, or the solution set of row
-    block ``k``, of ``a x = b - z`` (``a x = b`` when there is no ``z``).
+class _NormRows(_Side):
+    """Project ``x`` onto the hyperplane of row ``k`` of ``a x = b - z``
+    (``a x = b`` when there is no ``z``)."""
 
-    A row-block step forms the block's residual first and applies the block
+    def __init__(self, a, b, rows: NormSampler):
+        self._a, self._b, self._sq = a, b.tolist(), rows.sq_norms.tolist()
+
+    def step(self, k, x, z) -> None:
+        row = self._a[k]
+        r = self._b[k] - np.dot(row, x) if z is None else self._b[k] - z[k] - np.dot(row, x)
+        x += (r / self._sq[k]) * row
+
+
+class _RowBlocks(_Side):
+    """Project ``x`` onto the solution set of row block ``k`` of ``a x = b - z``
+    (``a x = b`` when there is no ``z``).
+
+    A step forms the block's residual first and applies the block
     pseudoinverse to it: ``r = (b - z - a x)_k``, ``x += r @ P_k`` with
     ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell & Tropp, 2014), a
     contiguous c x d array built from the plan's SVD factors with the rank
-    cutoff kept, on the first step that draws block ``k``.  That is four
-    numpy calls per ``block`` step.  The x-space form
-    ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as fast, but it applies
-    ``S^-1`` to ``b`` once and fixes that rounding into its fixed point: on
-    blocks of near-duplicate rows its error floor was up to 28 times that of
-    the residual-first step.
+    cutoff kept, when an epoch first draws block ``k``.
+
+    Without ``z`` (``block``) the residual folds into the same gemv: ``x``
+    runs as ``[1; x]``, and a step is ``r = [b_k | -A_k] [1; x]`` and
+    ``[1; x] += r @ [0 | P_k]``, three numpy calls.  This is still residual
+    first.  The x-space form ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as
+    fast, but it applies ``S^-1`` to ``b`` once and fixes that rounding into
+    its fixed point: on blocks of near-duplicate rows its error floor was up
+    to 28 times that of the residual-first step.
     """
-    if isinstance(rows, NormSampler):
-        bl, sq = b.tolist(), rows.sq_norms.tolist()
 
-        def update(k, x, z):
-            row = a[k]
-            r = bl[k] - row @ x if z is None else bl[k] - z[k] - row @ x
-            x += (r / sq[k]) * row
+    def __init__(self, a, b, rows: BlockPlan):
+        self._sub, self._facts, self._idx = rows.submatrices, rows.factorizations, rows.partition.blocks
+        self._bk = [b[i] for i in self._idx]
+        n = rows.n_blocks
+        self._pt = [None] * n
+        self._folded, self._lifted = [None] * n, [None] * n  # [b_k | -A_k], [0 | P_k]
 
-        return update
-    idx, sub = rows.partition.blocks, rows.submatrices
-    bk = [b[i] for i in idx]
-    pt = [None] * rows.n_blocks
+    def _pinv(self, k) -> np.ndarray:
+        return _pinv_transpose(self._sub[k], self._facts[k])
 
-    def update(k, x, z):
-        p = pt[k]
-        if p is None:
-            p = pt[k] = _pinv_transpose(sub[k], rows.factorizations[k])
-        r = bk[k] - sub[k] @ x if z is None else bk[k] - z[idx[k]] - sub[k] @ x
-        x += r @ p
+    def prepare(self, ks) -> None:
+        pt = self._pt
+        for k in set(ks):
+            if pt[k] is None:
+                pt[k] = self._pinv(k)
 
-    return update
+    def step(self, k, x, z) -> None:
+        x += np.dot(self._bk[k] - z.take(self._idx[k]) - np.dot(self._sub[k], x), self._pt[k])
+
+    def run(self, ks, x, z) -> None:
+        if z is not None:
+            return super().run(ks, x, z)
+        m, q = self._folded, self._lifted
+        for k in set(ks):
+            if m[k] is None:
+                m[k] = np.hstack((self._bk[k][:, None], -self._sub[k]))
+                q[k] = np.hstack((np.zeros((len(self._bk[k]), 1)), self._pinv(k)))
+        x1, dot = np.concatenate(([1.0], x)), np.dot
+        for k in ks:
+            x1 += dot(dot(m[k], x1), q[k])
+        x[:] = x1[1:]
+
+
+def _row_side(a, b, rows) -> _Side:
+    return (_NormRows if isinstance(rows, NormSampler) else _RowBlocks)(a, b, rows)
 
 
 def _pinv_transpose(sub: np.ndarray, f: SvdFactorization) -> np.ndarray:
@@ -421,13 +488,13 @@ class _NormChunks:
 
 
 # Each method's column side and row side, run in that order within a step.
-# ``blockcd``'s descent side is called once with all of an apply's steps.
+# ``blockcd``'s descent side runs all of an apply's steps at once.
 _SKETCH = {
-    RK: (None, _row_update),
-    REK: (_column_update, _row_update),
-    BLOCK: (None, _row_update),
-    DOUBLE: (_column_update, _row_update),
-    HYBRID: (_column_update, _row_update),
+    RK: (None, _row_side),
+    REK: (_column_side, _row_side),
+    BLOCK: (None, _row_side),
+    DOUBLE: (_column_side, _row_side),
+    HYBRID: (_column_side, _row_side),
     BLOCK_CD: (_PinvDescent, None),
 }
 
@@ -442,23 +509,24 @@ class Kernel:
     When every side draws single rows or columns (``rk``, ``rek``), an
     :meth:`apply` of more than one step runs chunks of steps as triangular
     solves (:class:`_NormChunks`).  Block sides (``block``, ``double``,
-    ``blockcd``, ``hybrid``) and single steps run step by step.
+    ``blockcd``, ``hybrid``) and single steps run step by step, each step
+    only its BLAS calls on operands built for the apply's drawn blocks
+    before its step loop.
     """
 
     def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
-        col_update, row_update = _SKETCH[method]
+        col_side, row_side = _SKETCH[method]
         sides = []
-        if col_update is not None:
-            sides.append((col_update, cols if cols is not None else NormSampler(np.einsum("ij,ij->j", a, a)), "last_col"))
-        if row_update is not None:
-            sides.append((row_update, rows if rows is not None else NormSampler(np.einsum("ij,ij->i", a, a)), "last_row"))
-        self._updates = [update(a, b, pick) for update, pick, _ in sides]
+        if col_side is not None:
+            sides.append((col_side, cols if cols is not None else NormSampler(np.einsum("ij,ij->j", a, a)), "last_col"))
+        if row_side is not None:
+            sides.append((row_side, rows if rows is not None else NormSampler(np.einsum("ij,ij->i", a, a)), "last_row"))
+        self._sides = [side(a, b, pick) for side, pick, _ in sides]
         self._picks = [pick for _, pick, _ in sides]
         self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
         self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
-        self._method, self._descent = method, method == BLOCK_CD
-        chunked = all(self._weighted) and not self._descent
-        self._chunks = _NormChunks(a, b, columns=col_update is not None) if chunked else None
+        self._method = method
+        self._chunks = _NormChunks(a, b, columns=col_side is not None) if all(self._weighted) else None
 
     def draw(self, rng: np.random.Generator, steps: int) -> list[list[int]]:
         """Block indices of ``steps`` steps, one list per side.
@@ -470,6 +538,8 @@ class Kernel:
         if all(weighted):
             u = rng.random((steps, len(picks)))
             return [p.locate(u[:, j]).tolist() for j, p in enumerate(picks)]
+        if len(picks) == 1:
+            return [rng.integers(picks[0].n_blocks, size=steps).tolist()]
         if not any(weighted):
             return rng.integers([p.n_blocks for p in picks], size=(steps, len(picks))).T.tolist()
         # norm and uniform draws interleave (hybrid): draw step by step
@@ -480,14 +550,12 @@ class Kernel:
         """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
         if self._chunks is not None and len(indices[0]) > 1:
             self._chunks(indices, x, z)
-        elif self._descent:
-            self._updates[0](indices[0], x, z)
-        elif len(self._updates) == 1:
-            update = self._updates[0]
-            for k in indices[0]:
-                update(k, x, z)
+        elif len(self._sides) == 1:
+            self._sides[0].run(indices[0], x, z)
         else:
-            first, second = self._updates
+            for side, ks in zip(self._sides, indices):
+                side.prepare(ks)
+            first, second = (side.step for side in self._sides)
             for t, u in zip(*indices):
                 first(t, x, z)
                 second(u, x, z)
@@ -556,6 +624,11 @@ def initial_state(system: LinearSystem, method: str) -> SolverState:
     return SolverState(x=np.zeros(system.n_cols), z=z)
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D float array, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=None) -> Trace:
     """Run one method on one system, recording one trace row per epoch.
 
@@ -604,13 +677,13 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         if error_fn is not None:
             err = float(error_fn(x))
         elif system.x_ls is not None:
-            err = float(np.linalg.norm(x - system.x_ls))
+            err = _norm(x - system.x_ls)
         else:
             err = float("nan")
-        resid = float(np.linalg.norm(z if residual_in_z else b - a @ x))
+        resid = _norm(z if residual_in_z else b - np.dot(a, x))
         z_err = None
         if z is not None and system.b_perp is not None:
-            z_err = float(np.linalg.norm(z - system.b_perp))
+            z_err = _norm(z - system.b_perp)
         trace.rows.append(TraceRow(epoch, err, resid, z_err, solver_cpu))
         return err if error_based else resid
 

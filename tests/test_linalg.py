@@ -4,56 +4,12 @@ import pytest
 from blockkaczmarz.linalg import (
     as_matrix,
     as_vector,
-    col_submatrix,
     pinv_apply,
-    row_submatrix,
     spectral_summary,
+    summarize_factorization,
     svd_factor,
 )
 from blockkaczmarz.paving import row_standardize
-
-
-class TestSubmatrices:
-    def test_row_full_set(self, rng):
-        a = rng.standard_normal((3, 2))
-        assert np.array_equal(row_submatrix(a, [0, 1, 2]), a)
-
-    def test_row_single(self, rng):
-        a = rng.standard_normal((3, 2))
-        sub = row_submatrix(a, [1])
-        assert sub.shape == (1, 2)
-        assert np.array_equal(sub[0], a[1])
-
-    def test_row_entrywise(self, rng):
-        a = rng.standard_normal((8, 5))
-        idx = [6, 0, 3]
-        sub = row_submatrix(a, idx)
-        for k, i in enumerate(idx):
-            for j in range(5):
-                assert sub[k, j] == a[i, j]
-
-    def test_col_full_set(self, rng):
-        a = rng.standard_normal((3, 4))
-        assert np.array_equal(col_submatrix(a, [0, 1, 2, 3]), a)
-
-    def test_col_single(self, rng):
-        a = rng.standard_normal((3, 4))
-        sub = col_submatrix(a, [2])
-        assert sub.shape == (3, 1)
-        assert np.array_equal(sub[:, 0], a[:, 2])
-
-    def test_col_entrywise(self, rng):
-        a = rng.standard_normal((4, 7))
-        idx = [5, 1]
-        sub = col_submatrix(a, idx)
-        for i in range(4):
-            for k, j in enumerate(idx):
-                assert sub[i, k] == a[i, j]
-
-    @pytest.mark.parametrize("bad", [[], [3], [-1], [0, 0]])
-    def test_row_bad_indices(self, bad):
-        with pytest.raises(ValueError):
-            row_submatrix(np.eye(3), bad)
 
 
 class TestSvdFactor:
@@ -166,6 +122,21 @@ class TestSpectralSummary:
             a = rng.standard_normal((8, 4))
             s = spectral_summary(a)
             assert s.scaled_condition**2 >= 4 - 1e-9
+
+    @pytest.mark.parametrize("shape, rank", [((30, 8), 8), ((8, 30), 8), ((30, 8), 5), ((12, 12), 1)])
+    def test_matches_the_factorization_summary(self, rng, shape, rank):
+        # singular values alone give the summary of the full thin SVD, rank cutoff included
+        n, d = shape
+        a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        a[:, 0] = 0.0
+        expected = summarize_factorization(a, svd_factor(a))
+        got = spectral_summary(a)
+        for name in ("sigma_min_nonzero", "sigma_max", "frobenius", "condition", "scaled_condition"):
+            assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-12)
+
+    def test_rank_tolerance_checked(self):
+        with pytest.raises(ValueError, match="rank_tolerance"):
+            spectral_summary(np.eye(2), rank_tolerance=1.0)
 
 
 class TestValidators:

@@ -69,3 +69,28 @@ def test_bad_vector_header(tmp_path):
     path.write_text("2 3\n1\n2\n")
     with pytest.raises(ValueError, match="header"):
         read_vector(path)
+
+
+@pytest.mark.parametrize("header", ["0", "-2"])
+def test_non_positive_vector_header(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n1\n")
+    with pytest.raises(ValueError, match="positive 'n' header"):
+        read_vector(path)
+
+
+@pytest.mark.parametrize("body", ["1\n2\n", "", "1\n\n3\n", "1\n2 3\n4\n", "1 2\n3 4\n5 6\n"])
+def test_malformed_vector_lines(tmp_path, body):
+    # truncated, empty, blank, and lines with more than one value
+    path = tmp_path / "bad.txt"
+    path.write_text("3\n" + body)
+    with pytest.raises(ValueError, match="bad.txt: expected 3 values"):
+        read_vector(path)
+
+
+@pytest.mark.parametrize("token", ["x", "#"])
+def test_non_numeric_vector_entry(tmp_path, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2\n1\n{token}\n")
+    with pytest.raises(ValueError, match="expected 2 values: could not convert"):
+        read_vector(path)

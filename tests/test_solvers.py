@@ -649,6 +649,27 @@ def test_batched_run_matches_stepwise_wrappers(method, n):
     np.testing.assert_allclose(trace.final_x, state.x, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("method", STEP_METHODS)
+def test_draw_matches_scalar_draws_in_turn(method):
+    # Kernel.draw's stream contract: a batch of steps draws what each step's
+    # indices drawn in turn, side by side (column side first), with one scalar
+    # draw each would; single rows and columns by squared norm, blocks uniformly
+    sys_, _, row_plan, col_plan = mixed_setup()
+    kernel = step_kernel(method, sys_, row_plan, col_plan)
+    by_norm = {side: NormSampler(np.sum(sys_.a**2, axis=axis)) for side, axis in (("col", 0), ("row", 1))}
+    sides = {RK: [by_norm["row"]], REK: [by_norm["col"], by_norm["row"]], BLOCK: [row_plan],
+             DOUBLE: [col_plan, row_plan], HYBRID: [by_norm["col"], row_plan], BLOCK_CD: [col_plan]}[method]
+    for seed in (0, 5, 91):
+        for steps in (1, 2, 7, _CHUNK + 3):
+            g_batch, g_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = kernel.draw(g_batch, steps)
+            in_turn = [[p.draw(g_scalar) if isinstance(p, NormSampler) else int(g_scalar.integers(p.n_blocks))
+                        for p in sides] for _ in range(steps)]
+            assert batch == [list(side) for side in zip(*in_turn)]
+            assert all(type(k) is int for side in batch for k in side)
+            assert g_batch.random() == g_scalar.random()
+
+
 class TestNoMutation:
     @pytest.mark.parametrize("method", STEP_METHODS)
     def test_step_wrappers_leave_inputs_alone(self, method):
