@@ -29,12 +29,7 @@ def write_matrix(a: np.ndarray, path) -> None:
 def read_matrix(path) -> np.ndarray:
     path = Path(path)
     with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'n d' header, got {header!r}")
-        n, d = int(header[0]), int(header[1])
-        if n < 1 or d < 1:
-            raise ValueError(f"{path}: expected a positive 'n d' header, got {header!r}")
+        n, d = _read_header(fh, path, "n d")
         a = _read_rows(fh, path, n, f"expected {n} rows of {d} entries")
     if a.shape != (n, d):
         raise ValueError(f"{path}: expected {n} rows of {d} entries, got {a.shape[0]} rows of {a.shape[1]}")
@@ -51,16 +46,29 @@ def write_vector(v: np.ndarray, path) -> None:
 def read_vector(path) -> np.ndarray:
     path = Path(path)
     with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 1:
-            raise ValueError(f"{path}: expected 'n' header, got {header!r}")
-        n = int(header[0])
-        if n < 1:
-            raise ValueError(f"{path}: expected a positive 'n' header, got {header!r}")
+        (n,) = _read_header(fh, path, "n")
         v = _read_rows(fh, path, n, f"expected {n} values")
     if v.shape != (n, 1):
         raise ValueError(f"{path}: expected {n} values, one per line, got {v.shape[0]} lines of {v.shape[1]}")
     return as_vector(v[:, 0], str(path))
+
+
+def _read_header(fh, path: Path, fields: str) -> list[int]:
+    """The positive integers of the header line ``fields`` (``"n d"`` or ``"n"``).
+
+    A header of another length, or with a field that is not a positive
+    integer, raises ``ValueError`` naming ``path`` and the expected header.
+    """
+    header = fh.readline().split()
+    if len(header) != len(fields.split()):
+        raise ValueError(f"{path}: expected '{fields}' header, got {header!r}")
+    try:
+        sizes = [int(field) for field in header]
+    except ValueError:
+        raise ValueError(f"{path}: expected an integer '{fields}' header, got {header!r}") from None
+    if min(sizes) < 1:
+        raise ValueError(f"{path}: expected a positive '{fields}' header, got {header!r}")
+    return sizes
 
 
 def _read_rows(fh, path: Path, n: int, expected: str) -> np.ndarray:

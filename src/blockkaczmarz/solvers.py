@@ -28,8 +28,9 @@ Five methods share one run loop:
     partition is needed, and only the coordinates of the chosen column block
     change per step.  Steps run on the blocks' pseudoinverse images of the
     residual, ``pinv(A_l) (b - a x)``, O(d c) each for blocks of ``c``
-    columns; the residual estimate ``z`` is set to ``b - a @ x`` at the end
-    of every epoch.
+    columns.  ``z = b - a @ x`` is formed at the end of an epoch only when
+    one is passed in: :func:`run` passes none when the system's oracle gives
+    the residual's norm, and :meth:`Kernel.step` always passes one.
 
 A sixth tag ``hybrid`` (single-column projection + row-block update) exists
 only to demonstrate that mismatched projection/update speeds degrade
@@ -305,9 +306,10 @@ class _PinvDescent:
     it would grow by ``cond(A_k)^2`` and diverge on nearly collinear blocks.
 
     Each :meth:`run` takes a list of steps: it gathers ``x`` into block order
-    and computes ``h = h_b - R x`` first, and scatters ``x`` back and sets
-    ``z = b - a x`` last, so ``h`` drifts for one call at most, ``z`` is the
-    residual after every call, and the ``z`` passed in is not read.  A step
+    and computes ``h = h_b - R x`` first, and scatters ``x`` back last, so
+    ``h`` drifts for one call at most.  The ``z`` passed in is not read: when
+    it is an array, it is set to ``z = b - a x`` last (an O(n d) gemv), and
+    when it is ``None``, no residual is formed and ``x`` is the same.  A step
     is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and by
     ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
     ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the first call.
@@ -353,7 +355,8 @@ class _PinvDescent:
             xp[j] += w
             h -= dot(w, c[j])
         x[perm] = xp
-        np.subtract(self._b, dot(self._a, x), out=z)
+        if z is not None:
+            np.subtract(self._b, dot(self._a, x), out=z)
 
 
 def _slices(sizes) -> list[slice]:
@@ -651,6 +654,12 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         Rows for epoch 0 (initial state) through the stopping epoch.
         ``cpu_seconds`` accumulates process CPU time spent inside solver
         iterations only (telemetry and stopping checks are excluded).
+        ``residual_l2`` is ``norm(b - a x)``.  With an oracle it is read off
+        ``e = x - x_ls`` as ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, a
+        d x d gemv instead of an n x d one, equal to the direct norm up to
+        rounding; ``blockcd``'s ``z_error_l2`` is then ``norm(s_vt @ e)``,
+        and its steps form no ``z``.  Without an oracle it is computed
+        directly (``blockcd``: ``norm(z)``, with ``z = b - a x`` exactly).
     """
     a, b = system.a, system.b
     config.validate(system.n_rows, system.n_cols)
@@ -670,18 +679,30 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     solver_cpu = 0.0
 
     error_based = error_fn is not None or system.x_ls is not None
-    # blockcd's z is b - a x exactly: at x = 0 and after every apply
-    residual_in_z = method == BLOCK_CD
+    s_vt = system.s_vt
+    if s_vt is not None:
+        # b - a x = b_perp - u (s_vt e) with b_perp orthogonal to the range of u
+        perp_sq = system.b_perp.dot(system.b_perp)
+        if method == BLOCK_CD:
+            z = None  # only telemetry would read it
 
     def record(epoch: int) -> float:
+        e = None if system.x_ls is None else x - system.x_ls
         if error_fn is not None:
             err = float(error_fn(x))
-        elif system.x_ls is not None:
-            err = _norm(x - system.x_ls)
+        elif e is not None:
+            err = _norm(e)
         else:
             err = float("nan")
-        resid = _norm(z if residual_in_z else b - np.dot(a, x))
         z_err = None
+        if s_vt is not None:
+            range_err = _norm(np.dot(s_vt, e))
+            resid = math.sqrt(perp_sq + range_err * range_err)
+            if method == BLOCK_CD:
+                z_err = range_err
+        else:
+            # blockcd's z is b - a x exactly: at x = 0 and after every apply
+            resid = _norm(z if method == BLOCK_CD else b - np.dot(a, x))
         if z is not None and system.b_perp is not None:
             z_err = _norm(z - system.b_perp)
         trace.rows.append(TraceRow(epoch, err, resid, z_err, solver_cpu))

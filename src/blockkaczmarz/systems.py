@@ -31,8 +31,13 @@ class LinearSystem:
 
     ``b_range + b_perp == b`` where ``b_range = a @ x_ls`` lies in the range
     of ``a`` and ``b_perp`` is orthogonal to it; ``norm(b_perp)`` equals the
-    least-squares residual norm.  ``x_ls`` may be ``None`` for systems built
-    with ``with_oracle=False``, in which case error-based stopping is
+    least-squares residual norm.  ``s_vt = diag(s) @ v.T`` is the
+    ``min(n, d) x d`` tail of the oracle's thin SVD ``a = u diag(s) v.T``, so
+    ``norm(a @ e) == norm(s_vt @ e)`` for every ``e`` and the residual of any
+    ``x`` is ``sqrt(norm(b_perp)**2 + norm(s_vt @ (x - x_ls))**2)``: an
+    O(d^2) product instead of O(n d), for 8 d min(n, d) bytes (1.3 MB on the
+    1200 x 400 fig4 matrix).  The oracle fields may be ``None`` for systems
+    built with ``with_oracle=False``, in which case error-based stopping is
     unavailable.
     """
 
@@ -42,6 +47,7 @@ class LinearSystem:
     spectral: SpectralSummary | None
     b_range: np.ndarray | None
     b_perp: np.ndarray | None
+    s_vt: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -76,4 +82,5 @@ def attach_oracle(system: LinearSystem, fact: SvdFactorization) -> LinearSystem:
     spectral = summarize_factorization(system.a, fact)
     x_ls = pinv_apply(fact, system.b)
     b_range = system.a @ x_ls
-    return replace(system, x_ls=x_ls, spectral=spectral, b_range=b_range, b_perp=system.b - b_range)
+    return replace(system, x_ls=x_ls, spectral=spectral, b_range=b_range, b_perp=system.b - b_range,
+                   s_vt=fact.singular_values[:, None] * fact.v.T)

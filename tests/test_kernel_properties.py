@@ -1,11 +1,26 @@
 """Invariants of the in-place epoch kernel over random shapes, ranks and partitions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockkaczmarz.paving import COLUMNS, random_partition
-from blockkaczmarz.solvers import _CHUNK, BLOCK, BLOCK_CD, DOUBLE, REK, RK, Kernel, make_block_plan
+from blockkaczmarz.solvers import (
+    _CHUNK,
+    BLOCK,
+    BLOCK_CD,
+    DOUBLE,
+    HYBRID,
+    METHODS,
+    REK,
+    RK,
+    Kernel,
+    MethodConfig,
+    StopRule,
+    make_block_plan,
+    run,
+)
 from blockkaczmarz.systems import make_system
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -217,3 +232,42 @@ def test_chunked_epoch_matches_single_steps(problem, method):
         assert np.linalg.norm(x - x_ref) <= 1e-12 * scale
         if z is not None:
             assert np.linalg.norm(z - z_ref) <= 1e-12 * scale
+
+
+@st.composite
+def telemetry_problems(draw):
+    """A tall or wide rank-``r`` system, consistent or not, sometimes with a
+    zero column, and a run config of ``method`` with random partitions."""
+    n = draw(st.integers(2, 20))
+    d = draw(st.integers(2, 20))
+    r = draw(st.integers(1, min(n, d)))
+    consistent = draw(st.booleans())
+    zero_col = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    if zero_col:
+        a[:, rng.integers(d)] = 0.0
+    b = a @ rng.standard_normal(d) if consistent else rng.standard_normal(n)
+    rows = random_partition(n, draw(st.integers(1, n)), rng)
+    cols = random_partition(d, draw(st.integers(1, d)), rng, axis=COLUMNS)
+    return make_system(a, b), rows, cols, draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("method", METHODS + (HYBRID,))
+@PROPERTY_SETTINGS
+@given(telemetry_problems())
+def test_trace_telemetry_matches_direct_norms(method, problem):
+    # With an oracle the trace reads the residual off s_vt (x - x_ls); every
+    # row must agree with the direct norms of the iterate of that epoch.
+    system, rows, cols, seed = problem
+    config = MethodConfig(method, row_partition=rows if method in (BLOCK, DOUBLE, HYBRID) else None,
+                          col_partition=cols if method in (DOUBLE, BLOCK_CD) else None, seed=seed)
+    tol = 1e-12 * np.linalg.norm(system.b)
+    trace = run(system, config, StopRule(max_epochs=4, error_threshold=1e-300))
+    for t, row in enumerate(trace.rows):
+        x = run(system, config, StopRule(max_epochs=t, error_threshold=1e-300)).final_x
+        resid = system.b - system.a @ x
+        assert row.error_l2 == np.linalg.norm(x - system.x_ls)
+        assert abs(row.residual_l2 - np.linalg.norm(resid)) <= tol
+        if method == BLOCK_CD:
+            assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol

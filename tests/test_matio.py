@@ -34,6 +34,13 @@ def test_bad_matrix_header(tmp_path):
         read_matrix(path)
 
 
+def test_non_integer_matrix_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("x 2\n1 2\n")
+    with pytest.raises(ValueError, match=r"bad.txt: expected an integer 'n d' header, got \['x', '2'\]"):
+        read_matrix(path)
+
+
 def test_short_matrix_row(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n1 2 3\n1 2\n")
@@ -68,6 +75,13 @@ def test_bad_vector_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n1\n2\n")
     with pytest.raises(ValueError, match="header"):
+        read_vector(path)
+
+
+def test_non_integer_vector_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2.5\n1\n2\n")
+    with pytest.raises(ValueError, match=r"bad.txt: expected an integer 'n' header, got \['2.5'\]"):
         read_vector(path)
 
 

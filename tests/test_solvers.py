@@ -318,6 +318,30 @@ class TestBlockCdStep:
             assert gap <= 1e-10 * (np.linalg.norm(sys_.b) + sigma_max * np.linalg.norm(state.x))
 
 
+    @pytest.mark.parametrize("case", ["zero column", "rank-deficient block"])
+    def test_apply_without_z_leaves_x_bit_identical(self, rng, case):
+        # run passes no z when the oracle gives the residual: x must not move by a bit
+        a = rng.standard_normal((20, 8))
+        if case == "zero column":
+            a[:, 3] = 0.0
+        else:
+            a[:, 5] = a[:, 1]  # block 0 has rank 2
+        b = rng.standard_normal(20)
+        part = Partition(axis=COLUMNS, blocks=(np.array([0, 1, 5]), np.array([2, 3, 4]), np.array([6, 7])),
+                         universe_size=8)
+        kernel = Kernel(BLOCK_CD, a, b, cols=make_block_plan(a, part))
+        g = np.random.default_rng(3)
+        x, x_without, z = np.zeros(8), np.zeros(8), b.copy()
+        for _ in range(3):
+            ks = kernel.draw(g, 5)
+            kernel.apply(x, z, ks)
+            kernel.apply(x_without, None, ks)
+            assert x.tobytes() == x_without.tobytes()
+            assert np.array_equal(z, b - a @ x)
+        if case == "zero column":
+            assert x[3] == 0.0
+
+
 class TestZMonotonicity:
     def test_double_and_blockcd_never_increase_z_error(self, rng):
         sys_ = small_system(rng, inconsistent=True)
@@ -436,12 +460,24 @@ class TestRun:
         assert np.array_equal(t1.final_x, t2.final_x)
 
     def test_blockcd_residual_is_b_minus_a_x(self, rng):
-        # the trace reads blockcd's residual off z: it must be exactly b - a x
-        sys_ = small_system(rng, inconsistent=True)
+        # without an oracle the trace reads blockcd's residual off z: it must be exactly b - a x
+        oracle = small_system(rng, inconsistent=True)
+        sys_ = make_system(oracle.a, oracle.b, with_oracle=False)
         config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
         for max_epochs in (0, 1, 6):
             trace = run(sys_, config, StopRule(max_epochs=max_epochs, error_threshold=1e-300))
             assert trace.rows[-1].residual_l2 == np.linalg.norm(sys_.b - sys_.a @ trace.final_x)
+
+    def test_blockcd_oracle_residual_is_b_minus_a_x_to_rounding(self, rng):
+        # with an oracle the residual and z error come from s_vt (x - x_ls), up to rounding
+        sys_ = small_system(rng, inconsistent=True)
+        config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
+        tol = 1e-12 * np.linalg.norm(sys_.b)
+        for max_epochs in (0, 1, 6):
+            trace = run(sys_, config, StopRule(max_epochs=max_epochs, error_threshold=1e-300))
+            resid = sys_.b - sys_.a @ trace.final_x
+            assert trace.rows[-1].residual_l2 == pytest.approx(np.linalg.norm(resid), rel=0, abs=tol)
+            assert trace.rows[-1].z_error_l2 == pytest.approx(np.linalg.norm(resid - sys_.b_perp), rel=0, abs=tol)
 
     def test_z_error_column_only_for_z_methods(self, rng):
         sys_ = small_system(rng)
