@@ -29,8 +29,8 @@ Five methods share one run loop:
     change per step.  Steps run on the blocks' pseudoinverse images of the
     residual, ``pinv(A_l) (b - a x)``, O(d c) each for blocks of ``c``
     columns.  ``z = b - a @ x`` is formed at the end of an epoch only when
-    one is passed in: :func:`run` passes none when the system's oracle gives
-    the residual's norm, and :meth:`Kernel.step` always passes one.
+    one is passed in: :meth:`Kernel.step` always passes one, and :func:`run`
+    none, since only its telemetry would read it.
 
 A sixth tag ``hybrid`` (single-column projection + row-block update) exists
 only to demonstrate that mismatched projection/update speeds degrade
@@ -654,12 +654,14 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         Rows for epoch 0 (initial state) through the stopping epoch.
         ``cpu_seconds`` accumulates process CPU time spent inside solver
         iterations only (telemetry and stopping checks are excluded).
-        ``residual_l2`` is ``norm(b - a x)``.  With an oracle it is read off
-        ``e = x - x_ls`` as ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, a
-        d x d gemv instead of an n x d one, equal to the direct norm up to
-        rounding; ``blockcd``'s ``z_error_l2`` is then ``norm(s_vt @ e)``,
-        and its steps form no ``z``.  Without an oracle it is computed
-        directly (``blockcd``: ``norm(z)``, with ``z = b - a x`` exactly).
+        ``residual_l2`` is ``norm(b - a x)``.  When the system has
+        ``s_vt``, it is read off ``e = x - x_ls`` as
+        ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, a d x d gemv instead
+        of an n x d one, equal to the direct norm up to rounding, and
+        ``blockcd``'s ``z_error_l2`` is ``norm(s_vt @ e)``.  Otherwise it is
+        computed directly, exactly, and ``blockcd``'s ``z_error_l2`` (with
+        an oracle) is ``norm(b - a x - b_perp)``.  ``blockcd``'s steps form
+        no ``z``.
     """
     a, b = system.a, system.b
     config.validate(system.n_rows, system.n_cols)
@@ -683,8 +685,8 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     if s_vt is not None:
         # b - a x = b_perp - u (s_vt e) with b_perp orthogonal to the range of u
         perp_sq = system.b_perp.dot(system.b_perp)
-        if method == BLOCK_CD:
-            z = None  # only telemetry would read it
+    if method == BLOCK_CD:
+        z = None  # only telemetry would read it: record forms the residual
 
     def record(epoch: int) -> float:
         e = None if system.x_ls is None else x - system.x_ls
@@ -701,8 +703,10 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
             if method == BLOCK_CD:
                 z_err = range_err
         else:
-            # blockcd's z is b - a x exactly: at x = 0 and after every apply
-            resid = _norm(z if method == BLOCK_CD else b - np.dot(a, x))
+            r = b - np.dot(a, x)
+            resid = _norm(r)
+            if method == BLOCK_CD and system.b_perp is not None:
+                z_err = _norm(r - system.b_perp)
         if z is not None and system.b_perp is not None:
             z_err = _norm(z - system.b_perp)
         trace.rows.append(TraceRow(epoch, err, resid, z_err, solver_cpu))

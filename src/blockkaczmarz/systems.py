@@ -36,8 +36,11 @@ class LinearSystem:
     ``norm(a @ e) == norm(s_vt @ e)`` for every ``e`` and the residual of any
     ``x`` is ``sqrt(norm(b_perp)**2 + norm(s_vt @ (x - x_ls))**2)``: an
     O(d^2) product instead of O(n d), for 8 d min(n, d) bytes (1.3 MB on the
-    1200 x 400 fig4 matrix).  The oracle fields may be ``None`` for systems
-    built with ``with_oracle=False``, in which case error-based stopping is
+    1200 x 400 fig4 matrix).  ``s_vt`` is ``None`` when the oracle's rank
+    cutoff drops singular values above ``DEFAULT_RANK_TOLERANCE * s[0]``:
+    ``b_perp`` then keeps the components of ``b`` along those directions and
+    the identity fails.  The oracle fields may be ``None`` for systems built
+    with ``with_oracle=False``, in which case error-based stopping is
     unavailable.
     """
 
@@ -82,5 +85,9 @@ def attach_oracle(system: LinearSystem, fact: SvdFactorization) -> LinearSystem:
     spectral = summarize_factorization(system.a, fact)
     x_ls = pinv_apply(fact, system.b)
     b_range = system.a @ x_ls
+    s = fact.singular_values
+    # b_perp is orthogonal only to the kept directions: s_vt stands in for a
+    # only when the dropped singular values are rounding-sized
+    exact_range = fact.rank == s.size or s[fact.rank] <= DEFAULT_RANK_TOLERANCE * s[0]
     return replace(system, x_ls=x_ls, spectral=spectral, b_range=b_range, b_perp=system.b - b_range,
-                   s_vt=fact.singular_values[:, None] * fact.v.T)
+                   s_vt=s[:, None] * fact.v.T if exact_range else None)

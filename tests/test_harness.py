@@ -167,7 +167,7 @@ class TestGenerateSystem:
         e = g - u @ (u.T @ g)
         ref = make_system(a, a @ x + e * (spec.residual_norm / np.linalg.norm(e)))
         sys_ = generate_system(spec)
-        for name in ("a", "b", "x_ls", "b_range", "b_perp"):
+        for name in ("a", "b", "x_ls", "b_range", "b_perp", "s_vt"):
             assert np.array_equal(getattr(sys_, name), getattr(ref, name)), name
         assert sys_.spectral == ref.spectral
 

@@ -479,6 +479,26 @@ class TestRun:
             assert trace.rows[-1].residual_l2 == pytest.approx(np.linalg.norm(resid), rel=0, abs=tol)
             assert trace.rows[-1].z_error_l2 == pytest.approx(np.linalg.norm(resid - sys_.b_perp), rel=0, abs=tol)
 
+    @pytest.mark.parametrize("method", [RK, BLOCK_CD])
+    def test_residual_exact_when_oracle_cutoff_drops_a_direction(self, rng, method):
+        # a coarse rank cutoff leaves b's share along the dropped direction in
+        # b_perp; the trace must still report norm(b - a x), not count it twice
+        u = np.linalg.qr(rng.standard_normal((20, 6)))[0]
+        v = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        s = np.array([1.0, 0.8, 0.6, 0.4, 0.2, 0.9e-3])
+        a = (u * s) @ v.T
+        sys_ = make_system(a, u[:, 5] + 0.1 * rng.standard_normal(20), rank_tolerance=1e-3)
+        assert sys_.spectral.sigma_min_nonzero == pytest.approx(0.2)
+        config = MethodConfig(method, col_partition=whole_partition(6, COLUMNS) if method == BLOCK_CD else None,
+                              seed=0)
+        tol = 1e-12 * np.linalg.norm(sys_.b)
+        for max_epochs in (0, 1, 3):
+            trace = run(sys_, config, StopRule(max_epochs=max_epochs, error_threshold=1e-300))
+            resid = sys_.b - a @ trace.final_x
+            assert trace.rows[-1].residual_l2 == pytest.approx(np.linalg.norm(resid), rel=0, abs=tol)
+            if method == BLOCK_CD:
+                assert trace.rows[-1].z_error_l2 == pytest.approx(np.linalg.norm(resid - sys_.b_perp), rel=0, abs=tol)
+
     def test_z_error_column_only_for_z_methods(self, rng):
         sys_ = small_system(rng)
         stop = StopRule(max_epochs=2, error_threshold=1e-300)
