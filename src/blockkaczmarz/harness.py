@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import svd_factor
 from .paving import COLUMNS, ROWS, Partition, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
 from .systems import LinearSystem, attach_oracle, make_system
-from .solvers import BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, MethodConfig, StopRule, Trace, epoch_length, run
+from .solvers import BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, Kernel, MethodConfig, StopRule, Trace, epoch_length, run
 from . import theory
 from .tomography import build_ray_matrix, radial_phantom
 
@@ -218,6 +218,12 @@ def run_experiment(
     ``spec.seed``, partitions and per-trial streams from seeds derived via
     :func:`derive_seed`.  The returned arms are what
     :func:`compute_envelopes` evaluates, so the system is generated once.
+
+    Each arm factors its partitions once: one :class:`~blockkaczmarz.solvers.Kernel`
+    per arm, built when the arm is prepared, rides on every trial's
+    ``MethodConfig.kernel``.  The trials' iterates are those of a fresh
+    kernel per trial, and their ``cpu_seconds`` count iterations only, so no
+    trial pays for the build.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -227,13 +233,10 @@ def run_experiment(
     for setting in methods:
         prep = prepare_method(system, setting, spec.seed)
         arms.append(prep)
+        arm = MethodConfig(setting.method, row_partition=prep.row_partition, col_partition=prep.col_partition)
+        kernel = Kernel.for_config(prep.solve_system, arm).build()
         for trial in range(trials):
-            config = MethodConfig(
-                method=setting.method,
-                row_partition=prep.row_partition,
-                col_partition=prep.col_partition,
-                seed=derive_seed(spec.seed, setting.name, trial),
-            )
+            config = replace(arm, seed=derive_seed(spec.seed, setting.name, trial), kernel=kernel)
             trace = run(prep.solve_system, config, stop, error_fn=prep.error_fn)
             records.append(ExperimentRecord(method=setting.name, trial=trial, trace=trace))
     return Experiment(system=system, arms=arms, records=records)

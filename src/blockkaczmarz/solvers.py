@@ -43,8 +43,12 @@ rows and columns drawn by squared norm are blocks of size one.
 :class:`Kernel` holds that update once: :meth:`Kernel.apply` runs an epoch
 of batched draws on ``x`` and ``z`` in place, and :meth:`Kernel.step` is the
 one pure step, with its indices drawn or pinned side by side, column side
-first.  Nothing writes into a system's arrays or a :class:`BlockPlan`, so
-independent runs can share them.
+first.  Nothing writes into a system's arrays, a :class:`BlockPlan` or a
+kernel's operands, so independent runs can share them:
+:meth:`Kernel.build` factors every block of a fixed partition once and drops
+the plans, and :func:`run` takes such a kernel through
+:attr:`MethodConfig.kernel`, as :func:`~blockkaczmarz.harness.run_experiment`
+passes one per experiment arm to all of its trials.
 
 The single-row and single-column sides (``rk``, ``rek``) run a chunk of
 steps as one triangular solve: a run of Kaczmarz steps is one forward
@@ -119,12 +123,18 @@ class StopRule:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Which method to run, its partitions, and the seed of its random stream."""
+    """Which method to run, its partitions, and the seed of its random stream.
+
+    ``kernel`` optionally carries a :class:`Kernel` built for this method,
+    system and partitions (:meth:`Kernel.for_config`), shared by every run
+    of the config; it takes no part in comparisons or the repr.
+    """
 
     method: str
     row_partition: Partition | None = None
     col_partition: Partition | None = None
     seed: int = 0
+    kernel: Kernel | None = field(default=None, compare=False, repr=False)
 
     def validate(self, n_rows: int, n_cols: int) -> None:
         if self.method not in METHODS + (HYBRID,):
@@ -200,7 +210,11 @@ class NormSampler:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """A partition with its block submatrices and SVDs, cached once per run."""
+    """A partition with its block submatrices and SVDs.
+
+    A :class:`Kernel` builds its step operands from its plans and drops them
+    once built (:meth:`Kernel.build`).
+    """
 
     partition: Partition
     submatrices: tuple[np.ndarray, ...]
@@ -248,6 +262,10 @@ class _Side:
 
     def prepare(self, ks) -> None:
         """Build the operands of blocks ``ks``."""
+
+    def build(self, alone: bool) -> None:
+        """Build the operands of every block and drop what only building them
+        reads; ``alone`` says the side is its method's only one."""
 
     def step(self, k, x, z) -> None:
         raise NotImplementedError
@@ -312,7 +330,8 @@ class _PinvDescent:
     when it is ``None``, no residual is formed and ``x`` is the same.  A step
     is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and by
     ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
-    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the first call.
+    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the first call or
+    by :meth:`build`, and the plan is dropped then.
     """
 
     def __init__(self, a, b, cols: BlockPlan):
@@ -332,6 +351,9 @@ class _PinvDescent:
             right.append(vk * sk)
         # overlap[r_l, r_k] = U_l^T U_k; half[:, j_l] = overlap[:, r_l] S_l^-1 V_l^T
         ut = np.concatenate(u, axis=1)
+        # the plan is read: its n x d blocks and U factors go before the d x d arrays
+        self._cols = None
+        del u, v
         overlap, utb = ut.T @ ut, ut.T @ self._b
         del ut  # n x d: free it before the d x d arrays
         d = self._perm.size
@@ -342,6 +364,10 @@ class _PinvDescent:
         for j, r, lk, rk in zip(self._slices, ranks, left, right):
             self._c[j] = rk @ half[r]
             self._hb[j] = lk @ utb[r]
+
+    def build(self, alone: bool) -> None:
+        if self._c is None:
+            self._build()
 
     def run(self, ks, x, z) -> None:
         if self._c is None:
@@ -386,7 +412,7 @@ class _RowBlocks(_Side):
     pseudoinverse to it: ``r = (b - z - a x)_k``, ``x += r @ P_k`` with
     ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell & Tropp, 2014), a
     contiguous c x d array built from the plan's SVD factors with the rank
-    cutoff kept, when an epoch first draws block ``k``.
+    cutoff kept, when an epoch first draws block ``k`` or by :meth:`build`.
 
     Without ``z`` (``block``) the residual folds into the same gemv: ``x``
     runs as ``[1; x]``, and a step is ``r = [b_k | -A_k] [1; x]`` and
@@ -404,14 +430,25 @@ class _RowBlocks(_Side):
         self._pt = [None] * n
         self._folded, self._lifted = [None] * n, [None] * n  # [b_k | -A_k], [0 | P_k]
 
-    def _pinv(self, k) -> np.ndarray:
-        return _pinv_transpose(self._sub[k], self._facts[k])
-
     def prepare(self, ks) -> None:
         pt = self._pt
         for k in set(ks):
             if pt[k] is None:
-                pt[k] = self._pinv(k)
+                pt[k] = _pinv_transpose(self._sub[k], self._facts[k])
+
+    def _fold(self, ks) -> None:
+        """Build the folded operands of blocks ``ks``, for steps without ``z``."""
+        self.prepare(ks)
+        m, q, pt = self._folded, self._lifted, self._pt
+        for k in set(ks):
+            if m[k] is None:
+                m[k] = np.hstack((self._bk[k][:, None], -self._sub[k]))
+                q[k] = np.hstack((np.zeros((len(self._bk[k]), 1)), pt[k]))
+
+    def build(self, alone: bool) -> None:
+        # a side running alone (``block``) steps without ``z``, in the folded form
+        (self._fold if alone else self.prepare)(range(len(self._pt)))
+        self._facts = None
 
     def step(self, k, x, z) -> None:
         x += np.dot(self._bk[k] - z.take(self._idx[k]) - np.dot(self._sub[k], x), self._pt[k])
@@ -419,11 +456,8 @@ class _RowBlocks(_Side):
     def run(self, ks, x, z) -> None:
         if z is not None:
             return super().run(ks, x, z)
+        self._fold(ks)
         m, q = self._folded, self._lifted
-        for k in set(ks):
-            if m[k] is None:
-                m[k] = np.hstack((self._bk[k][:, None], -self._sub[k]))
-                q[k] = np.hstack((np.zeros((len(self._bk[k]), 1)), self._pinv(k)))
         x1, dot = np.concatenate(([1.0], x)), np.dot
         for k in ks:
             x1 += dot(dot(m[k], x1), q[k])
@@ -460,20 +494,24 @@ class _NormChunks:
     drawn index, so both triangles are nonsingular.
 
     The column side reads a contiguous ``a^T`` and gathers each chunk's Gram
-    from ``a^T a``, built on the first call; for wide systems (more columns
-    than rows) the chunk's Gram is computed instead, to keep memory O(n d).
+    from ``a^T a``, built on the first call or by :meth:`build`; for wide
+    systems (more columns than rows) the chunk's Gram is computed instead, to
+    keep memory O(n d).
     """
 
     def __init__(self, a, b, columns: bool):
         self._a, self._b, self._columns = a, b, columns
         self._at = self._ata = None
 
-    def __call__(self, indices, x, z) -> None:
-        a, b = self._a, self._b
+    def build(self) -> None:
         if self._columns and self._at is None:
+            a = self._a
             self._at = np.ascontiguousarray(a.T)
             self._ata = self._at @ a if a.shape[1] <= a.shape[0] else None
-        at, ata = self._at, self._ata
+
+    def __call__(self, indices, x, z) -> None:
+        self.build()
+        a, b, at, ata = self._a, self._b, self._at, self._ata
         rows, cols = np.asarray(indices[-1]), np.asarray(indices[0])
         for lo in range(0, rows.size, _CHUNK):
             i = rows[lo : lo + _CHUNK]
@@ -514,7 +552,10 @@ class Kernel:
     solves (:class:`_NormChunks`).  Block sides (``block``, ``double``,
     ``blockcd``, ``hybrid``) and single steps run step by step, each step
     only its BLAS calls on operands built for the apply's drawn blocks
-    before its step loop.
+    before its step loop, or for every block by :meth:`build`.
+
+    ``method``, ``a``, ``b`` and the two partitions (``None`` for a side
+    drawn by squared norm) record what the kernel was built for.
     """
 
     def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
@@ -525,11 +566,46 @@ class Kernel:
         if row_side is not None:
             sides.append((row_side, rows if rows is not None else NormSampler(np.einsum("ij,ij->i", a, a)), "last_row"))
         self._sides = [side(a, b, pick) for side, pick, _ in sides]
-        self._picks = [pick for _, pick, _ in sides]
+        # a plan is drawn from by its partition: only the sides read the plan
+        self._picks = [pick.partition if isinstance(pick, BlockPlan) else pick for _, pick, _ in sides]
         self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
         self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
-        self._method = method
+        self.method, self.a, self.b = method, a, b
+        self.row_partition = rows.partition if isinstance(rows, BlockPlan) else None
+        self.col_partition = cols.partition if isinstance(cols, BlockPlan) else None
         self._chunks = _NormChunks(a, b, columns=col_side is not None) if all(self._weighted) else None
+
+    @classmethod
+    def for_config(cls, system: LinearSystem, config: MethodConfig) -> Kernel:
+        """The kernel of ``config``'s method on ``system``, with a
+        :func:`make_block_plan` for each of its partitions."""
+        plan = lambda part: None if part is None else make_block_plan(system.a, part)
+        return cls(config.method, system.a, system.b, rows=plan(config.row_partition), cols=plan(config.col_partition))
+
+    def build(self) -> Kernel:
+        """Build the operands of every block now, and drop the plans.
+
+        What is left is only what the steps read (for ``blockcd``: the
+        column order, its block slices, ``C`` and ``h_b``), so one kernel can
+        serve many runs at the memory of one.  Builds that :meth:`apply`
+        would make on the way are the same arrays, so the iterates do not
+        change.  Returns the kernel.
+        """
+        for side in self._sides:
+            side.build(alone=len(self._sides) == 1)
+        if self._chunks is not None:
+            self._chunks.build()
+        return self
+
+    def check(self, system: LinearSystem, config: MethodConfig) -> None:
+        """Raise :class:`ConfigError` unless the kernel was built for
+        ``config``'s method and partitions on ``system``'s arrays."""
+        if self.method != config.method:
+            raise ConfigError(f"kernel was built for method {self.method!r}, not {config.method!r}")
+        if self.a is not system.a or self.b is not system.b:
+            raise ConfigError("kernel was built for another system's arrays")
+        if self.row_partition is not config.row_partition or self.col_partition is not config.col_partition:
+            raise ConfigError("kernel was built for other partitions")
 
     def draw(self, rng: np.random.Generator, steps: int) -> list[list[int]]:
         """Block indices of ``steps`` steps, one list per side.
@@ -576,7 +652,7 @@ class Kernel:
         sides = [name.removeprefix("last_").replace("_", " ") for name in self._fields]
         pinned = pinned or (None,) * len(sides)
         if len(pinned) != len(sides):
-            raise ValueError(f"a {self._method!r} step has {len(sides)} side(s) to pin "
+            raise ValueError(f"a {self.method!r} step has {len(sides)} side(s) to pin "
                              f"({', '.join(sides)}), got {len(pinned)} indices")
         drawn = self.draw(rng, 1) if any(k is None for k in pinned) else [[None]] * len(pinned)
         ks = [d[0] if k is None else _check_pinned(k, pick, side)
@@ -641,7 +717,11 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     config : MethodConfig
         Fully determines the method and its random stream; two runs with the
         same config on the same system produce identical traces except for
-        ``cpu_seconds``.
+        ``cpu_seconds``.  The run steps through ``config.kernel`` when it has
+        one, which must have been built for this method and these partitions
+        on ``system``'s arrays (:class:`ConfigError` otherwise), and through
+        a kernel of its own, from :meth:`Kernel.for_config`, when not.
+        Either way the iterates are the same.
     stop : StopRule
     error_fn : callable, optional
         Maps the iterate to the reported error; defaults to the distance to
@@ -653,7 +733,11 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     Trace
         Rows for epoch 0 (initial state) through the stopping epoch.
         ``cpu_seconds`` accumulates process CPU time spent inside solver
-        iterations only (telemetry and stopping checks are excluded).
+        iterations only: the kernel's operands (block factors and
+        pseudoinverses, ``blockcd``'s ``C`` and ``h_b``, ``rek``'s ``a^T`` and
+        ``a^T a``) are built by :meth:`Kernel.build` before the first epoch,
+        and only when ``stop.max_epochs >= 1``; telemetry and stopping checks
+        are excluded too.
         ``residual_l2`` is ``norm(b - a x)``.  When the system has
         ``s_vt``, it is read off ``e = x - x_ls`` as
         ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, a d x d gemv instead
@@ -667,13 +751,15 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     config.validate(system.n_rows, system.n_cols)
     method = config.method
 
-    row_plan = make_block_plan(a, config.row_partition) if config.row_partition is not None else None
-    col_plan = make_block_plan(a, config.col_partition) if config.col_partition is not None else None
+    kernel = config.kernel
+    if kernel is None:
+        kernel = Kernel.for_config(system, config)
+    else:
+        kernel.check(system, config)
     rng = np.random.default_rng(config.seed)
-    kernel = Kernel(method, a, b, rows=row_plan, cols=col_plan)
-
-    iters_per_epoch = epoch_length(method, system.n_rows, row_blocks=row_plan and row_plan.n_blocks,
-                                   col_blocks=col_plan and col_plan.n_blocks)
+    row_part, col_part = config.row_partition, config.col_partition
+    iters_per_epoch = epoch_length(method, system.n_rows, row_blocks=row_part and row_part.n_blocks,
+                                   col_blocks=col_part and col_part.n_blocks)
 
     state = initial_state(system, method)
     x, z = state.x, state.z
@@ -717,6 +803,8 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     if error_based and metric <= stop.error_threshold:
         trace.converged = True
     else:
+        if stop.max_epochs >= 1:
+            kernel.build()  # untimed: cpu_seconds counts iterations only
         for epoch in range(1, stop.max_epochs + 1):
             t0 = time.process_time()
             kernel.apply(x, z, kernel.draw(rng, iters_per_epoch))

@@ -25,9 +25,9 @@ from blockkaczmarz.harness import (
     write_csv,
     write_envelopes_csv,
 )
-from blockkaczmarz import harness, linalg, systems
+from blockkaczmarz import harness, linalg, solvers, systems
 from blockkaczmarz.paving import column_standardize, dynamic_range, row_standardize
-from blockkaczmarz.solvers import StopRule
+from blockkaczmarz.solvers import MethodConfig, StopRule, make_block_plan, run
 from blockkaczmarz.systems import make_system
 
 
@@ -240,6 +240,49 @@ class TestRunExperiment:
             tiny_spec(), [MethodSetting("hybrid", row_blocks=4)], trials=1, stop=StopRule(5, 1e-300)
         ).records
         assert recs[0].trace.rows[-1].epoch == 5
+
+
+def fresh_kernel_replay(experiment, trials, stop):
+    """Every trial of ``experiment`` again, each through a kernel of its own."""
+    traces = []
+    for prep in experiment.arms:
+        for trial in range(trials):
+            config = MethodConfig(prep.setting.method, row_partition=prep.row_partition,
+                                  col_partition=prep.col_partition,
+                                  seed=derive_seed(0, prep.setting.name, trial))
+            traces.append(run(prep.solve_system, config, stop, error_fn=prep.error_fn))
+    return traces
+
+
+class TestSharedArmKernel:
+    @pytest.mark.parametrize("preset, include_hybrid", [("fig4", False), ("fig3a", True)])
+    def test_trials_match_a_fresh_kernel_per_trial(self, preset, include_hybrid):
+        p = make_preset(preset, 0, include_hybrid=include_hybrid)
+        experiment = run_experiment(p.spec, list(p.methods), 2, p.stop)
+        replay = fresh_kernel_replay(experiment, 2, p.stop)
+        assert len(replay) == len(experiment.records)
+        for rec, ref in zip(experiment.records, replay):
+            rows = [(r.epoch, r.error_l2, r.residual_l2, r.z_error_l2) for r in rec.trace.rows]
+            assert rows == [(r.epoch, r.error_l2, r.residual_l2, r.z_error_l2) for r in ref.rows]
+            assert np.array_equal(rec.trace.final_x, ref.final_x)
+            assert rec.trace.converged == ref.converged
+
+    @pytest.mark.parametrize("preset, trials", [("fig4", 2), ("fig3a", 3)])
+    def test_each_arm_factors_its_partitions_once(self, preset, trials, monkeypatch):
+        # fig4: one column plan per blockcd arm; fig3a: double's row and
+        # column plans and block's row plan, none for rek
+        calls = []
+
+        def counting_plan(a, partition):
+            calls.append(partition)
+            return make_block_plan(a, partition)
+
+        monkeypatch.setattr(solvers, "make_block_plan", counting_plan)
+        p = make_preset(preset, 0, max_epochs=1)
+        experiment = run_experiment(p.spec, list(p.methods), trials, p.stop)
+        assert len(calls) == 3
+        assert len({id(part) for part in calls}) == 3
+        assert len(experiment.records) == trials * len(p.methods)
 
 
 class TestAggregateBands:

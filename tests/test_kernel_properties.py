@@ -1,5 +1,8 @@
 """Invariants of the in-place epoch kernel over random shapes, ranks and partitions."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from blockkaczmarz.solvers import (
     Kernel,
     MethodConfig,
     StopRule,
+    initial_state,
     make_block_plan,
     run,
 )
@@ -271,3 +275,64 @@ def test_trace_telemetry_matches_direct_norms(method, problem):
         assert abs(row.residual_l2 - np.linalg.norm(resid)) <= tol
         if method == BLOCK_CD:
             assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol
+
+
+@st.composite
+def shared_kernel_problems(draw):
+    """A tall or wide rank-``r`` system, consistent or not, with a zero column
+    and a duplicated one (so column and row blocks can be rank deficient),
+    random partitions, and two distinct run seeds."""
+    n = draw(st.integers(4, 24))
+    d = draw(st.integers(3, 10))
+    r = draw(st.integers(1, d))
+    consistent = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    zero, dup, source = rng.permutation(d)[:3]
+    a[:, zero] = 0.0
+    a[:, dup] = a[:, source]
+    b = a @ rng.standard_normal(d) if consistent else rng.standard_normal(n)
+    rows = random_partition(n, draw(st.integers(1, n)), rng)
+    cols = random_partition(d, draw(st.integers(1, d)), rng, axis=COLUMNS)
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True))
+    return make_system(a, b), rows, cols, seeds
+
+
+def step_states(kernel, system, method, seed, steps=12):
+    state, g, out = initial_state(system, method), np.random.default_rng(seed), []
+    for _ in range(steps):
+        state = kernel.step(state, g)
+        out.append(state)
+    return out
+
+
+@pytest.mark.parametrize("method", METHODS + (HYBRID,))
+@PROPERTY_SETTINGS
+@given(shared_kernel_problems())
+def test_one_built_kernel_serves_runs_like_fresh_kernels(method, problem):
+    # The harness runs every trial of an arm through one kernel built ahead:
+    # runs with different seeds through it, and single steps after them, must
+    # be those of a fresh kernel each, once the kernel has dropped its plans.
+    system, rows, cols, seeds = problem
+    rows = rows if method in (BLOCK, DOUBLE, HYBRID) else None
+    cols = cols if method in (DOUBLE, BLOCK_CD) else None
+    config = MethodConfig(method, row_partition=rows, col_partition=cols)
+    stop = StopRule(max_epochs=4, error_threshold=1e-300)
+    fresh_runs = [run(system, replace(config, seed=s), stop) for s in seeds]
+    plans = [None if part is None else make_block_plan(system.a, part) for part in (rows, cols)]
+    fresh_steps = step_states(Kernel(method, system.a, system.b, *plans), system, method, seeds[0])
+
+    kernel = Kernel(method, system.a, system.b, *plans).build()
+    refs = [weakref.ref(obj) for plan in plans if plan is not None for obj in (plan, *plan.factorizations)]
+    del plans
+    assert all(ref() is None for ref in refs)
+    for s, ref in zip(seeds, fresh_runs):
+        shared = run(system, replace(config, seed=s, kernel=kernel), stop)
+        assert [(r.epoch, r.error_l2, r.residual_l2, r.z_error_l2) for r in shared.rows] == \
+            [(r.epoch, r.error_l2, r.residual_l2, r.z_error_l2) for r in ref.rows]
+        assert np.array_equal(shared.final_x, ref.final_x)
+    for built, fresh in zip(step_states(kernel, system, method, seeds[0]), fresh_steps):
+        assert np.array_equal(built.x, fresh.x)
+        assert (built.z is None and fresh.z is None) or np.array_equal(built.z, fresh.z)
+        assert (built.last_row, built.last_col, built.last_row_block, built.last_col_block) == \
+            (fresh.last_row, fresh.last_col, fresh.last_row_block, fresh.last_col_block)

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -850,3 +851,79 @@ class TestKernelStep:
             fresh = advance(step_kernel(method, sys_, row_plan, col_plan), fresh, g_fresh, t)
             assert_same_state(reused, fresh)
         assert reused.iteration == 54
+
+
+def trace_rows(trace):
+    """A trace's rows without ``cpu_seconds``."""
+    return [(r.epoch, r.error_l2, r.residual_l2, r.z_error_l2) for r in trace.rows]
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("method", STEP_METHODS)
+    def test_run_through_a_built_kernel_matches_a_fresh_one(self, method, monkeypatch):
+        sys_, configs, _, _ = mixed_setup(5)
+        config = configs[method]
+        stop = StopRule(max_epochs=7, error_threshold=1e-300)
+        fresh = [run(sys_, replace(config, seed=seed), stop) for seed in (3, 4)]
+        kernel = Kernel.for_config(sys_, config).build()
+
+        def fail(a, partition):
+            raise AssertionError("a run on a shared kernel factored a block")
+
+        monkeypatch.setattr(solvers, "make_block_plan", fail)
+        for seed, ref in zip((3, 4), fresh):
+            shared = run(sys_, replace(config, seed=seed, kernel=kernel), stop)
+            assert trace_rows(shared) == trace_rows(ref)
+            assert np.array_equal(shared.final_x, ref.final_x)
+
+    def test_kernel_takes_no_part_in_config_equality(self):
+        sys_, configs, _, _ = mixed_setup()
+        config = configs[BLOCK_CD]
+        with_kernel = replace(config, kernel=Kernel.for_config(sys_, config))
+        assert with_kernel == config
+        assert repr(with_kernel) == repr(config)
+
+    @pytest.mark.parametrize("foreign", ["method", "partition", "matrix", "rhs"])
+    def test_foreign_kernel_rejected(self, foreign):
+        sys_, configs, _, _ = mixed_setup()
+        config = configs[DOUBLE]
+        built_for, system = config, sys_
+        if foreign == "method":
+            built_for = configs[BLOCK]
+        elif foreign == "partition":
+            # equal blocks, but another partition object
+            other = Partition(COLUMNS, config.col_partition.blocks, config.col_partition.universe_size)
+            built_for = replace(config, col_partition=other)
+        elif foreign == "matrix":
+            system = make_system(sys_.a.copy(), sys_.b)
+        else:
+            system = make_system(sys_.a, sys_.b.copy())
+        kernel = Kernel.for_config(system, built_for)
+        with pytest.raises(ConfigError, match="kernel was built for"):
+            run(sys_, replace(config, kernel=kernel), StopRule(max_epochs=1, error_threshold=1e-300))
+
+    @pytest.mark.parametrize(
+        "method, target",
+        [(BLOCK_CD, (solvers._PinvDescent, "_build")), (BLOCK, (solvers, "_pinv_transpose")),
+         (DOUBLE, (solvers, "_pinv_transpose")), (REK, (solvers._NormChunks, "build"))],
+    )
+    def test_cpu_seconds_leave_out_the_operand_build(self, method, target, monkeypatch):
+        # the first epoch's CPU time is its iterations': a build that burns
+        # 50 ms of CPU is paid before the timed epochs
+        owner, name = target
+        real = getattr(owner, name)
+        burnt = []
+
+        def slow_build(*args):
+            if not burnt:
+                t0 = time.process_time()
+                while time.process_time() - t0 < 0.05:
+                    pass
+                burnt.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, slow_build)
+        sys_, configs, _, _ = mixed_setup(6)
+        trace = run(sys_, configs[method], StopRule(max_epochs=1, error_threshold=1e-300))
+        assert burnt
+        assert trace.rows[1].cpu_seconds < 0.05
