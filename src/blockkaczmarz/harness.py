@@ -223,7 +223,9 @@ def run_experiment(
     per arm, built when the arm is prepared, rides on every trial's
     ``MethodConfig.kernel``.  The trials' iterates are those of a fresh
     kernel per trial, and their ``cpu_seconds`` count iterations only, so no
-    trial pays for the build.
+    trial pays for the build.  The arm is built whatever ``stop`` says, even
+    when ``stop.max_epochs`` is 0.  An arm whose method or partitions do not
+    fit the system raises :class:`~blockkaczmarz.solvers.ConfigError`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

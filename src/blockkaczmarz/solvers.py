@@ -253,15 +253,11 @@ def _clear_zero_columns(sub: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Side:
     """One side of a step: it picks a block and updates ``x`` or ``z`` for it.
 
-    :meth:`prepare` builds what the steps on the blocks drawn for an epoch
-    need, before its step loop; :meth:`step` is then only the BLAS calls of
-    one step on operands built ahead, as contiguous arrays or their
-    transposes, through ``np.dot`` (the same gemv as ``@``, with less
-    dispatch).
+    :meth:`build` makes what the steps on every block need, once, before the
+    first step; :meth:`step` is then only the BLAS calls of one step on
+    operands built ahead, as contiguous arrays or their transposes, through
+    ``np.dot`` (the same gemv as ``@``, with less dispatch).
     """
-
-    def prepare(self, ks) -> None:
-        """Build the operands of blocks ``ks``."""
 
     def build(self, alone: bool) -> None:
         """Build the operands of every block and drop what only building them
@@ -272,7 +268,6 @@ class _Side:
 
     def run(self, ks, x, z) -> None:
         """Run the steps ``ks`` of a method with this side alone."""
-        self.prepare(ks)
         step = self.step
         for k in ks:
             step(k, x, z)
@@ -330,8 +325,8 @@ class _PinvDescent:
     when it is ``None``, no residual is formed and ``x`` is the same.  A step
     is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and by
     ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
-    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are built on the first call or
-    by :meth:`build`, and the plan is dropped then.
+    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are made by :meth:`build`,
+    which drops the plan.
     """
 
     def __init__(self, a, b, cols: BlockPlan):
@@ -339,9 +334,8 @@ class _PinvDescent:
         self._a, self._b, self._cols = a, b, cols
         self._perm = np.concatenate(blocks)
         self._slices = _slices([len(idx) for idx in blocks])
-        self._c = self._hb = None
 
-    def _build(self) -> None:
+    def build(self, alone: bool) -> None:
         u, v, s = _factors(self._cols)
         ranks = _slices([sk.size for sk in s])
         left, right = [], []
@@ -365,13 +359,7 @@ class _PinvDescent:
             self._c[j] = rk @ half[r]
             self._hb[j] = lk @ utb[r]
 
-    def build(self, alone: bool) -> None:
-        if self._c is None:
-            self._build()
-
     def run(self, ks, x, z) -> None:
-        if self._c is None:
-            self._build()
         perm, c, slices, dot = self._perm, self._c, self._slices, np.dot
         xp = x[perm]
         h = self._hb - dot(xp, c)
@@ -411,8 +399,8 @@ class _RowBlocks(_Side):
     A step forms the block's residual first and applies the block
     pseudoinverse to it: ``r = (b - z - a x)_k``, ``x += r @ P_k`` with
     ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell & Tropp, 2014), a
-    contiguous c x d array built from the plan's SVD factors with the rank
-    cutoff kept, when an epoch first draws block ``k`` or by :meth:`build`.
+    contiguous c x d array built by :meth:`build` from the plan's SVD factors
+    with the rank cutoff kept.
 
     Without ``z`` (``block``) the residual folds into the same gemv: ``x``
     runs as ``[1; x]``, and a step is ``r = [b_k | -A_k] [1; x]`` and
@@ -426,29 +414,14 @@ class _RowBlocks(_Side):
     def __init__(self, a, b, rows: BlockPlan):
         self._sub, self._facts, self._idx = rows.submatrices, rows.factorizations, rows.partition.blocks
         self._bk = [b[i] for i in self._idx]
-        n = rows.n_blocks
-        self._pt = [None] * n
-        self._folded, self._lifted = [None] * n, [None] * n  # [b_k | -A_k], [0 | P_k]
-
-    def prepare(self, ks) -> None:
-        pt = self._pt
-        for k in set(ks):
-            if pt[k] is None:
-                pt[k] = _pinv_transpose(self._sub[k], self._facts[k])
-
-    def _fold(self, ks) -> None:
-        """Build the folded operands of blocks ``ks``, for steps without ``z``."""
-        self.prepare(ks)
-        m, q, pt = self._folded, self._lifted, self._pt
-        for k in set(ks):
-            if m[k] is None:
-                m[k] = np.hstack((self._bk[k][:, None], -self._sub[k]))
-                q[k] = np.hstack((np.zeros((len(self._bk[k]), 1)), pt[k]))
 
     def build(self, alone: bool) -> None:
-        # a side running alone (``block``) steps without ``z``, in the folded form
-        (self._fold if alone else self.prepare)(range(len(self._pt)))
+        self._pt = [_pinv_transpose(sub, f) for sub, f in zip(self._sub, self._facts)]
         self._facts = None
+        if alone:
+            # a side running alone (``block``) steps without ``z``, in the folded form
+            self._folded = [np.hstack((bk[:, None], -sub)) for bk, sub in zip(self._bk, self._sub)]  # [b_k | -A_k]
+            self._lifted = [np.hstack((np.zeros((len(bk), 1)), pt)) for bk, pt in zip(self._bk, self._pt)]  # [0 | P_k]
 
     def step(self, k, x, z) -> None:
         x += np.dot(self._bk[k] - z.take(self._idx[k]) - np.dot(self._sub[k], x), self._pt[k])
@@ -456,7 +429,6 @@ class _RowBlocks(_Side):
     def run(self, ks, x, z) -> None:
         if z is not None:
             return super().run(ks, x, z)
-        self._fold(ks)
         m, q = self._folded, self._lifted
         x1, dot = np.concatenate(([1.0], x)), np.dot
         for k in ks:
@@ -494,23 +466,22 @@ class _NormChunks:
     drawn index, so both triangles are nonsingular.
 
     The column side reads a contiguous ``a^T`` and gathers each chunk's Gram
-    from ``a^T a``, built on the first call or by :meth:`build`; for wide
-    systems (more columns than rows) the chunk's Gram is computed instead, to
-    keep memory O(n d).
+    from ``a^T a``, both made by :meth:`build`; for wide systems (more
+    columns than rows) the chunk's Gram is computed instead, to keep memory
+    O(n d).
     """
 
     def __init__(self, a, b, columns: bool):
         self._a, self._b, self._columns = a, b, columns
-        self._at = self._ata = None
 
     def build(self) -> None:
-        if self._columns and self._at is None:
+        self._at = self._ata = None
+        if self._columns:
             a = self._a
             self._at = np.ascontiguousarray(a.T)
             self._ata = self._at @ a if a.shape[1] <= a.shape[0] else None
 
     def __call__(self, indices, x, z) -> None:
-        self.build()
         a, b, at, ata = self._a, self._b, self._at, self._ata
         rows, cols = np.asarray(indices[-1]), np.asarray(indices[0])
         for lo in range(0, rows.size, _CHUNK):
@@ -551,8 +522,8 @@ class Kernel:
     :meth:`apply` of more than one step runs chunks of steps as triangular
     solves (:class:`_NormChunks`).  Block sides (``block``, ``double``,
     ``blockcd``, ``hybrid``) and single steps run step by step, each step
-    only its BLAS calls on operands built for the apply's drawn blocks
-    before its step loop, or for every block by :meth:`build`.
+    only its BLAS calls on operands that :meth:`build` made for every block,
+    once, before the first step.
 
     ``method``, ``a``, ``b`` and the two partitions (``None`` for a side
     drawn by squared norm) record what the kernel was built for.
@@ -574,27 +545,33 @@ class Kernel:
         self.row_partition = rows.partition if isinstance(rows, BlockPlan) else None
         self.col_partition = cols.partition if isinstance(cols, BlockPlan) else None
         self._chunks = _NormChunks(a, b, columns=col_side is not None) if all(self._weighted) else None
+        self._built = False
 
     @classmethod
     def for_config(cls, system: LinearSystem, config: MethodConfig) -> Kernel:
         """The kernel of ``config``'s method on ``system``, with a
-        :func:`make_block_plan` for each of its partitions."""
+        :func:`make_block_plan` for each of its partitions.
+
+        Raises :class:`ConfigError` when ``config`` does not fit ``system``.
+        """
+        config.validate(system.n_rows, system.n_cols)
         plan = lambda part: None if part is None else make_block_plan(system.a, part)
         return cls(config.method, system.a, system.b, rows=plan(config.row_partition), cols=plan(config.col_partition))
 
     def build(self) -> Kernel:
-        """Build the operands of every block now, and drop the plans.
+        """Build the operands of every block, and drop the plans.
 
-        What is left is only what the steps read (for ``blockcd``: the
-        column order, its block slices, ``C`` and ``h_b``), so one kernel can
-        serve many runs at the memory of one.  Builds that :meth:`apply`
-        would make on the way are the same arrays, so the iterates do not
-        change.  Returns the kernel.
+        The first :meth:`apply` calls it when nobody has; later calls do
+        nothing.  What is left is only what the steps read (for ``blockcd``:
+        the column order, its block slices, ``C`` and ``h_b``), so one kernel
+        can serve many runs at the memory of one.  Returns the kernel.
         """
-        for side in self._sides:
-            side.build(alone=len(self._sides) == 1)
-        if self._chunks is not None:
-            self._chunks.build()
+        if not self._built:
+            for side in self._sides:
+                side.build(len(self._sides) == 1)
+            if self._chunks is not None:
+                self._chunks.build()
+            self._built = True
         return self
 
     def check(self, system: LinearSystem, config: MethodConfig) -> None:
@@ -627,13 +604,12 @@ class Kernel:
 
     def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
         """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
+        self.build()
         if self._chunks is not None and len(indices[0]) > 1:
             self._chunks(indices, x, z)
         elif len(self._sides) == 1:
             self._sides[0].run(indices[0], x, z)
         else:
-            for side, ks in zip(self._sides, indices):
-                side.prepare(ks)
             first, second = (side.step for side in self._sides)
             for t, u in zip(*indices):
                 first(t, x, z)

@@ -284,6 +284,27 @@ class TestSharedArmKernel:
         assert len({id(part) for part in calls}) == 3
         assert len(experiment.records) == trials * len(p.methods)
 
+    @pytest.mark.parametrize("max_epochs", [0, 3])
+    def test_each_arm_builds_its_kernel_once_whatever_the_stop_rule(self, max_epochs, monkeypatch):
+        # an arm's kernel is built when the arm is prepared, so an experiment
+        # without epochs builds it too, and its trials never build it again
+        builds = []
+        real = solvers._PinvDescent.build
+
+        def counting_build(self, alone):
+            builds.append(self)
+            return real(self, alone)
+
+        monkeypatch.setattr(solvers._PinvDescent, "build", counting_build)
+        arms = [MethodSetting("blockcd", col_blocks=3), MethodSetting("blockcd", label="p5", col_blocks=5)]
+        experiment = run_experiment(tiny_spec(), arms, 3, StopRule(max_epochs, 1e-300))
+        assert len(builds) == 2
+        assert all(len(rec.trace.rows) == max_epochs + 1 for rec in experiment.records)
+
+    def test_unknown_method_raises_config_error(self):
+        with pytest.raises(solvers.ConfigError, match="unknown method 'nope'"):
+            run_experiment(tiny_spec(), [MethodSetting("nope")], 1, StopRule(1, 1e-6))
+
 
 class TestAggregateBands:
     def test_single_record_collapses(self):

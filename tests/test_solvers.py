@@ -424,10 +424,10 @@ class TestRun:
         assert len(trace.rows) == 1
 
     def test_blockcd_builds_descent_arrays_only_when_an_epoch_runs(self, rng, monkeypatch):
-        def fail(self):
+        def fail(self, alone):
             raise AssertionError("descent arrays built")
 
-        monkeypatch.setattr(solvers._PinvDescent, "_build", fail)
+        monkeypatch.setattr(solvers._PinvDescent, "build", fail)
         sys_ = small_system(rng, inconsistent=True)
         config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
         assert len(run(sys_, config, StopRule(max_epochs=0, error_threshold=1e-12)).rows) == 1
@@ -830,8 +830,8 @@ class TestKernelStep:
 
     @pytest.mark.parametrize("method", STEP_METHODS)
     def test_reused_kernel_matches_fresh_kernels(self, method):
-        # the arrays a kernel builds lazily (the row blocks' pinv(A_k)^T,
-        # blockcd's C and h_b, rek's chunked a^T and a^T a) must hold no step
+        # the arrays a kernel builds on its first apply (the row blocks'
+        # pinv(A_k)^T, blockcd's C and h_b, rek's chunked a^T and a^T a) must hold no step
         # state: one kernel, reused for single steps and for applies of 40
         # steps in between, gives the states of a fresh kernel per call
         sys_, _, row_plan, col_plan = mixed_setup(n=75)
@@ -902,9 +902,27 @@ class TestSharedKernel:
         with pytest.raises(ConfigError, match="kernel was built for"):
             run(sys_, replace(config, kernel=kernel), StopRule(max_epochs=1, error_threshold=1e-300))
 
+    @pytest.mark.parametrize("method", [BLOCK, BLOCK_CD, "nope"])
+    def test_for_config_validates_before_factoring(self, method, monkeypatch):
+        def fail(a, partition):
+            raise AssertionError("a config that does not fit was factored")
+
+        monkeypatch.setattr(solvers, "make_block_plan", fail)
+        sys_, configs, _, _ = mixed_setup()
+        if method == BLOCK:
+            # a row partition of 41 rows for a 40-row system
+            config = replace(configs[BLOCK], row_partition=random_partition(41, 5, np.random.default_rng(0)))
+        elif method == BLOCK_CD:
+            # a partition of the rows where the columns' is expected
+            config = replace(configs[BLOCK_CD], col_partition=random_partition(12, 3, np.random.default_rng(0)))
+        else:
+            config = MethodConfig(method)
+        with pytest.raises(ConfigError, match="does not match|unknown method"):
+            Kernel.for_config(sys_, config)
+
     @pytest.mark.parametrize(
         "method, target",
-        [(BLOCK_CD, (solvers._PinvDescent, "_build")), (BLOCK, (solvers, "_pinv_transpose")),
+        [(BLOCK_CD, (solvers._PinvDescent, "build")), (BLOCK, (solvers, "_pinv_transpose")),
          (DOUBLE, (solvers, "_pinv_transpose")), (REK, (solvers._NormChunks, "build"))],
     )
     def test_cpu_seconds_leave_out_the_operand_build(self, method, target, monkeypatch):
