@@ -23,7 +23,7 @@ from .harness import (
 )
 from .matio import read_matrix, read_vector
 from .paving import COLUMNS, ROWS, paving_bounds, random_partition
-from .solvers import BLOCK, BLOCK_CD, DOUBLE, METHODS, MethodConfig, StopRule, run
+from .solvers import METHODS, MethodConfig, StopRule, _partitions_taken, run
 from .svgplot import write_svg_plot
 from .systems import make_system
 
@@ -80,8 +80,7 @@ def _cmd_solve(args) -> int:
     a = read_matrix(args.matrix)
     b = read_vector(args.rhs)
     system = make_system(a, b)
-    needs_row = args.method in (BLOCK, DOUBLE)
-    needs_col = args.method in (DOUBLE, BLOCK_CD)
+    needs_row, needs_col = _partitions_taken(args.method)
     if needs_row and not args.row_blocks:
         raise SystemExit(f"method {args.method!r} requires --row-blocks")
     if needs_col and not args.col_blocks:

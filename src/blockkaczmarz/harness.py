@@ -18,7 +18,8 @@ import numpy as np
 from .linalg import svd_factor
 from .paving import COLUMNS, ROWS, Partition, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
 from .systems import LinearSystem, attach_oracle, make_system
-from .solvers import BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, Kernel, MethodConfig, StopRule, Trace, epoch_length, run
+from .solvers import (BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, Kernel, MethodConfig, StopRule, Trace,
+                      _partitions_taken, epoch_length, run)
 from . import theory
 from .tomography import build_ray_matrix, radial_phantom
 
@@ -185,11 +186,12 @@ def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: in
     prng = np.random.default_rng(derive_seed(master_seed, setting.name + "#partition", 0))
     row_partition = None
     col_partition = None
-    if setting.method in (BLOCK, DOUBLE, HYBRID):
+    takes_rows, takes_cols = _partitions_taken(setting.method)
+    if takes_rows:
         if not setting.row_blocks:
             raise ValueError(f"method {setting.method!r} needs row_blocks")
         row_partition = random_partition(solve_system.n_rows, setting.row_blocks, prng, ROWS)
-    if setting.method in (DOUBLE, BLOCK_CD):
+    if takes_cols:
         if not setting.col_blocks:
             raise ValueError(f"method {setting.method!r} needs col_blocks")
         col_partition = random_partition(solve_system.n_cols, setting.col_blocks, prng, COLUMNS)

@@ -39,25 +39,28 @@ convergence; it is not a supported method.
 All of them are one sketch-and-project update (Gower & Richtarik, 2015): a
 step projects ``z`` off a column block (``blockcd``: a descent step on it)
 and/or ``x`` onto the solution set of a row block of ``a x = b - z``; single
-rows and columns drawn by squared norm are blocks of size one.
-:class:`Kernel` holds that update once: :meth:`Kernel.apply` runs an epoch
-of batched draws on ``x`` and ``z`` in place, and :meth:`Kernel.step` is the
-one pure step, with its indices drawn or pinned side by side, column side
-first.  Nothing writes into a system's arrays, a :class:`BlockPlan` or a
-kernel's operands, so independent runs can share them:
-:meth:`Kernel.build` factors every block of a fixed partition once and drops
-the plans, and :func:`run` takes such a kernel through
-:attr:`MethodConfig.kernel`, as :func:`~blockkaczmarz.harness.run_experiment`
-passes one per experiment arm to all of its trials.
+rows and columns drawn by squared norm are blocks of size one.  As
+``z = b - a y``, with ``y`` the sum of the column steps' coefficients, the
+column side is ``blockcd``'s descent and the row side ``block``'s step (the
+extended Gauss-Seidel view of Ma, Needell & Ramdas, 2015).  :class:`Kernel`
+holds that update once: :meth:`Kernel.apply` runs an epoch of batched draws
+on ``x`` and ``z`` in place, and :meth:`Kernel.step` is the one pure step,
+with its indices drawn or pinned side by side, column side first.  Nothing
+writes into a system's arrays, a :class:`BlockPlan` or a kernel's operands,
+so independent runs can share them: :meth:`Kernel.build` factors every block
+of a fixed partition once and drops the plans, and :func:`run` takes such a
+kernel through :attr:`MethodConfig.kernel`, as
+:func:`~blockkaczmarz.harness.run_experiment` passes one per experiment arm
+to all of its trials.
 
 The single-row and single-column sides (``rk``, ``rek``) run a chunk of
-steps as one triangular solve: a run of Kaczmarz steps is one forward
-substitution on the Gram matrix of its rows (Bjorck & Elfving, BIT 1979), and
-``rek``'s column side is the same on the columns.  The iterates are those of
-the steps taken one by one, up to rounding.  ``block``, ``double``,
-``blockcd``, ``hybrid`` and single steps run step by step, each step only
-its ``np.dot`` calls and in-place updates on operands built before the
-epoch's step loop: three numpy calls per ``block`` or ``blockcd`` step.
+steps as one triangular solve, a single step as a chunk of one: a run of
+Kaczmarz steps is one forward substitution on the Gram matrix of its rows
+(Bjorck & Elfving, BIT 1979), and ``rek``'s column side is the same on the
+columns.  The iterates are those of the steps taken one by one, up to
+rounding.  The block sides run step by step, each step only its ``np.dot``
+calls and in-place updates on operands built before the epoch's step loop:
+three numpy calls per ``block`` or ``blockcd`` step.
 """
 
 from __future__ import annotations
@@ -137,18 +140,7 @@ class MethodConfig:
     kernel: Kernel | None = field(default=None, compare=False, repr=False)
 
     def validate(self, n_rows: int, n_cols: int) -> None:
-        if self.method not in METHODS + (HYBRID,):
-            raise ConfigError(f"unknown method {self.method!r}")
-        needs_row = self.method in (BLOCK, DOUBLE, HYBRID)
-        needs_col = self.method in (DOUBLE, BLOCK_CD)
-        if needs_row and self.row_partition is None:
-            raise ConfigError(f"method {self.method!r} requires a row partition")
-        if needs_col and self.col_partition is None:
-            raise ConfigError(f"method {self.method!r} requires a column partition")
-        if not needs_row and self.row_partition is not None:
-            raise ConfigError(f"method {self.method!r} does not take a row partition")
-        if not needs_col and self.col_partition is not None:
-            raise ConfigError(f"method {self.method!r} does not take a column partition")
+        _check_taken(self.method, self.row_partition is not None, self.col_partition is not None)
         if self.row_partition is not None:
             if self.row_partition.axis != ROWS or self.row_partition.universe_size != n_rows:
                 raise ConfigError("row partition does not match the system's rows")
@@ -220,13 +212,6 @@ class BlockPlan:
     submatrices: tuple[np.ndarray, ...]
     factorizations: tuple[SvdFactorization, ...]
 
-    @property
-    def n_blocks(self) -> int:
-        return self.partition.n_blocks
-
-    def block(self, k: int) -> np.ndarray:
-        return self.partition.blocks[k]
-
 
 def make_block_plan(a: np.ndarray, partition: Partition) -> BlockPlan:
     subs = tuple(block_submatrices(a, partition))
@@ -250,69 +235,22 @@ def _clear_zero_columns(sub: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(sub.any(axis=0)[:, None], v, 0.0)
 
 
-class _Side:
-    """One side of a step: it picks a block and updates ``x`` or ``z`` for it.
-
-    :meth:`build` makes what the steps on every block need, once, before the
-    first step; :meth:`step` is then only the BLAS calls of one step on
-    operands built ahead, as contiguous arrays or their transposes, through
-    ``np.dot`` (the same gemv as ``@``, with less dispatch).
-    """
-
-    def build(self, alone: bool) -> None:
-        """Build the operands of every block and drop what only building them
-        reads; ``alone`` says the side is its method's only one."""
-
-    def step(self, k, x, z) -> None:
-        raise NotImplementedError
-
-    def run(self, ks, x, z) -> None:
-        """Run the steps ``ks`` of a method with this side alone."""
-        step = self.step
-        for k in ks:
-            step(k, x, z)
-
-
-class _NormColumns(_Side):
-    """Project ``z`` off column ``k`` of ``a``."""
-
-    def __init__(self, a, b, cols: NormSampler):
-        self._at, self._sq = a.T, cols.sq_norms.tolist()
-
-    def step(self, k, x, z) -> None:
-        col = self._at[k]
-        z -= (np.dot(col, z) / self._sq[k]) * col
-
-
-class _ColumnBlocks(_Side):
-    """Project ``z`` off the range of column block ``k``: ``z -= U_k (U_k^T z)``."""
-
-    def __init__(self, a, b, cols: BlockPlan):
-        self._u = [np.ascontiguousarray(u) for u in _factors(cols)[0]]
-        self._ut = [u.T for u in self._u]
-
-    def step(self, k, x, z) -> None:
-        z -= np.dot(self._u[k], np.dot(self._ut[k], z))
-
-
-def _column_side(a, b, cols) -> _Side:
-    return (_NormColumns if isinstance(cols, NormSampler) else _ColumnBlocks)(a, b, cols)
-
-
 class _PinvDescent:
     """Block coordinate descent on the least-squares objective, run on the
     block pseudoinverse images of the residual.
 
-    A step on column block ``k`` solves the block's least-squares problem
-    against ``z = b - a x``: it adds ``w = pinv(A_k) z`` to the block's
-    coordinates of ``x`` (the block's rank cutoff kept), which removes
-    ``A_k w`` from ``z``.  So a step needs only ``h = [pinv(A_l) z]_l``,
-    stacked over all blocks, which it updates by ``R[:, j] w`` with
-    ``R = [pinv(A_l) A]_l``.  With the columns in block order, so that
-    block ``k`` is the slice ``j``, and ``C = R^T``, the step is
-    ``w = h[j]; x[j] += w; h -= w @ C[j]``: O(c d) work on views, against
-    O(n c) for the same step on ``z``.
+    A step on column block ``k`` of ``B`` solves the block's least-squares
+    problem against ``z = b - B y``: it adds ``w = pinv(B_k) z`` to the
+    block's coordinates of ``y`` (the block's rank cutoff kept), which
+    removes ``B_k w`` from ``z``.  So a step needs only
+    ``h = [pinv(B_l) z]_l``, stacked over all blocks, which it updates by
+    ``R[:, j] w`` with ``R = [pinv(B_l) B]_l``.  With the coordinates in
+    block order, so that block ``k`` is the slice ``j``, and ``C = R^T``, the
+    step is ``w = h[j]; y[j] += w; h -= w @ C[j]``: O(c d) work on views,
+    against O(n c) for the same step on ``z``.
 
+    ``blockcd`` descends on ``B = a``, with ``y = x``
+    (``double`` and ``hybrid`` on the blocks' bases: :class:`_BasesDescent`).
     ``R_lk = V_l S_l^-1 (U_l^T U_k) S_k V_k^T`` is built from the blocks' SVD
     factors.  The ``U_l`` are orthonormal, so rounding in ``h`` grows by at
     most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a`` instead,
@@ -330,12 +268,12 @@ class _PinvDescent:
     """
 
     def __init__(self, a, b, cols: BlockPlan):
-        blocks = cols.partition.blocks
         self._a, self._b, self._cols = a, b, cols
+        blocks = cols.partition.blocks
         self._perm = np.concatenate(blocks)
         self._slices = _slices([len(idx) for idx in blocks])
 
-    def build(self, alone: bool) -> None:
+    def build(self) -> None:
         u, v, s = _factors(self._cols)
         ranks = _slices([sk.size for sk in s])
         left, right = [], []
@@ -373,71 +311,97 @@ class _PinvDescent:
             np.subtract(self._b, dot(self._a, x), out=z)
 
 
+class _BasesDescent:
+    """The column side of ``double`` and ``hybrid``: :class:`_PinvDescent`'s
+    step on ``B = U``, the orthonormal bases ``U_l`` of the column blocks (of
+    the single columns, ``a_j / |a_j|``, when ``cols`` is ``None``), so
+    ``pinv(U_l) = U_l^T``, ``C = U^T U`` and ``h = U^T z``.  The coordinates
+    ``t`` keep ``z = z_0 - U t`` as accurate as the projections
+    ``z -= U_l U_l^T z``; on ``a``'s blocks, ``z -= A_l w`` would lose
+    ``cond(A_l)`` digits.  :meth:`build` makes ``C`` and :attr:`ut` (``U^T``,
+    O(n d) memory) and drops the plan.
+    """
+
+    def __init__(self, a, cols: BlockPlan | None):
+        self._a, self._cols = a, cols
+
+    def build(self) -> None:
+        if self._cols is None:
+            norms = np.sqrt(np.einsum("ij,ij->j", self._a, self._a))
+            # a zero column has an empty basis: its steps leave z and t alone
+            bases = [self._a[:, [j]] / nj if nj else self._a[:, :0] for j, nj in enumerate(norms)]
+        else:
+            bases = _factors(self._cols)[0]
+        self._cols = None
+        self._slices = _slices([u.shape[1] for u in bases])
+        self.ut = np.concatenate(bases, axis=1).T.copy()
+        self._c = self.ut @ self.ut.T
+
+    def run_with_rows(self, rows: _RowBlocks, indices, x, z) -> None:
+        """The steps ``indices`` of ``double`` or ``hybrid``: per step, the
+        descent step on ``t``, then ``rows``' step.  ``z`` after the descent
+        steps is ``z - U t``, so the row residual ``(b - z - a x)_k`` is
+        ``[b_k | -A_k | U_k] [1; x; t] - z_k`` for the ``z`` passed in, which
+        is set to ``z - U t`` last."""
+        c, slices, dot = self._c, self._slices, np.dot
+        folded, lifted, rows_of = rows.folded, rows.lifted, rows.rows_of
+        v = np.concatenate(([1.0], x, np.zeros(c.shape[0])))
+        x1, t = v[: x.size + 1], v[x.size + 1 :]
+        h = dot(self.ut, z)
+        for l, k in zip(*indices):
+            j = slices[l]
+            w = h[j]
+            t[j] += w
+            h -= dot(w, c[j])
+            x1 += dot(dot(folded[k], v) - z.take(rows_of[k]), lifted[k])
+        x[:] = x1[1:]
+        z -= dot(self.ut.T, t)
+
+
 def _slices(sizes) -> list[slice]:
     """Consecutive slices of the given sizes."""
     ends = np.cumsum(sizes).tolist()
     return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
-class _NormRows(_Side):
-    """Project ``x`` onto the hyperplane of row ``k`` of ``a x = b - z``
-    (``a x = b`` when there is no ``z``)."""
-
-    def __init__(self, a, b, rows: NormSampler):
-        self._a, self._b, self._sq = a, b.tolist(), rows.sq_norms.tolist()
-
-    def step(self, k, x, z) -> None:
-        row = self._a[k]
-        r = self._b[k] - np.dot(row, x) if z is None else self._b[k] - z[k] - np.dot(row, x)
-        x += (r / self._sq[k]) * row
-
-
-class _RowBlocks(_Side):
-    """Project ``x`` onto the solution set of row block ``k`` of ``a x = b - z``
-    (``a x = b`` when there is no ``z``).
+class _RowBlocks:
+    """Project ``x`` onto the solution set of row block ``k`` of ``a x = b``:
+    the row side of ``block``, ``double`` and ``hybrid``.
 
     A step forms the block's residual first and applies the block
-    pseudoinverse to it: ``r = (b - z - a x)_k``, ``x += r @ P_k`` with
-    ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell & Tropp, 2014), a
-    contiguous c x d array built by :meth:`build` from the plan's SVD factors
-    with the rank cutoff kept.
+    pseudoinverse to it, ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell &
+    Tropp, 2014), built from the plan's SVD factors with the rank cutoff
+    kept.  The residual folds into the same gemv: ``x`` runs as ``[1; x]``,
+    and a step is ``r = [b_k | -A_k] [1; x]`` and ``[1; x] += r @ [0 | P_k]``,
+    three numpy calls (:meth:`run`).  This is still residual first.  The
+    x-space form ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as fast, but it
+    applies ``S^-1`` to ``b`` once and fixes that rounding into its fixed
+    point: on blocks of near-duplicate rows its error floor was up to 28
+    times that of the residual-first step.
 
-    Without ``z`` (``block``) the residual folds into the same gemv: ``x``
-    runs as ``[1; x]``, and a step is ``r = [b_k | -A_k] [1; x]`` and
-    ``[1; x] += r @ [0 | P_k]``, three numpy calls.  This is still residual
-    first.  The x-space form ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as
-    fast, but it applies ``S^-1`` to ``b`` once and fixes that rounding into
-    its fixed point: on blocks of near-duplicate rows its error floor was up
-    to 28 times that of the residual-first step.
+    :meth:`build` makes the contiguous :attr:`folded` ``[b_k | -A_k]``, with
+    the block's rows of ``bases`` appended when given
+    (:meth:`_BasesDescent.run_with_rows`), and :attr:`lifted` ``[0 | P_k]``,
+    and drops the plan; :attr:`rows_of` are the blocks' rows.
     """
 
-    def __init__(self, a, b, rows: BlockPlan):
-        self._sub, self._facts, self._idx = rows.submatrices, rows.factorizations, rows.partition.blocks
-        self._bk = [b[i] for i in self._idx]
+    def __init__(self, b, rows: BlockPlan):
+        self._b, self._sub, self._facts, self.rows_of = b, rows.submatrices, rows.factorizations, rows.partition.blocks
 
-    def build(self, alone: bool) -> None:
-        self._pt = [_pinv_transpose(sub, f) for sub, f in zip(self._sub, self._facts)]
-        self._facts = None
-        if alone:
-            # a side running alone (``block``) steps without ``z``, in the folded form
-            self._folded = [np.hstack((bk[:, None], -sub)) for bk, sub in zip(self._bk, self._sub)]  # [b_k | -A_k]
-            self._lifted = [np.hstack((np.zeros((len(bk), 1)), pt)) for bk, pt in zip(self._bk, self._pt)]  # [0 | P_k]
+    def build(self, bases: np.ndarray | None = None) -> None:
+        pts = [_pinv_transpose(sub, f) for sub, f in zip(self._sub, self._facts)]
+        bks = [self._b[i] for i in self.rows_of]
+        self.folded = [np.hstack((bk[:, None], -sub) + (() if bases is None else (bases[i],)))
+                       for i, bk, sub in zip(self.rows_of, bks, self._sub)]
+        self.lifted = [np.hstack((np.zeros((len(bk), 1)), pt)) for bk, pt in zip(bks, pts)]
+        self._sub = self._facts = None
 
-    def step(self, k, x, z) -> None:
-        x += np.dot(self._bk[k] - z.take(self._idx[k]) - np.dot(self._sub[k], x), self._pt[k])
-
-    def run(self, ks, x, z) -> None:
-        if z is not None:
-            return super().run(ks, x, z)
-        m, q = self._folded, self._lifted
+    def run(self, ks, x) -> None:
+        m, q = self.folded, self.lifted
         x1, dot = np.concatenate(([1.0], x)), np.dot
         for k in ks:
             x1 += dot(dot(m[k], x1), q[k])
         x[:] = x1[1:]
-
-
-def _row_side(a, b, rows) -> _Side:
-    return (_NormRows if isinstance(rows, NormSampler) else _RowBlocks)(a, b, rows)
 
 
 def _pinv_transpose(sub: np.ndarray, f: SvdFactorization) -> np.ndarray:
@@ -453,7 +417,8 @@ _TRI = np.tri(_CHUNK)
 
 
 class _NormChunks:
-    """``rk`` and ``rek`` steps run a chunk at a time.
+    """``rk`` and ``rek`` steps run a chunk at a time; a single step is a
+    chunk of one.
 
     Sequential Kaczmarz steps on rows ``I = (i_1..i_m)`` are one forward
     substitution (Bjorck & Elfving, BIT 1979): the coefficients ``c`` solve
@@ -499,52 +464,83 @@ class _NormChunks:
             x += np.linalg.solve((a_i @ a_i.T) * tri, rhs) @ a_i
 
 
-# Each method's column side and row side, run in that order within a step.
-# ``blockcd``'s descent side runs all of an apply's steps at once.
+# How each method's column side and row side pick their block: a single
+# column or row by squared norm, a block of a partition that the method takes
+# uniformly, or no such side (None).
+_NORM, _BLOCKS = "norm", "blocks"
 _SKETCH = {
-    RK: (None, _row_side),
-    REK: (_column_side, _row_side),
-    BLOCK: (None, _row_side),
-    DOUBLE: (_column_side, _row_side),
-    HYBRID: (_column_side, _row_side),
-    BLOCK_CD: (_PinvDescent, None),
+    RK: (None, _NORM),
+    REK: (_NORM, _NORM),
+    BLOCK: (None, _BLOCKS),
+    DOUBLE: (_BLOCKS, _BLOCKS),
+    HYBRID: (_NORM, _BLOCKS),
+    BLOCK_CD: (_BLOCKS, None),
 }
+
+
+def _partitions_taken(method: str) -> tuple[bool, bool]:
+    """Whether ``method`` takes a row partition, and whether it takes a
+    column partition; :class:`ConfigError` for an unknown method."""
+    if method not in _SKETCH:
+        raise ConfigError(f"unknown method {method!r}")
+    col, row = _SKETCH[method]
+    return row == _BLOCKS, col == _BLOCKS
+
+
+def _check_taken(method: str, has_row: bool, has_col: bool) -> None:
+    """Raise :class:`ConfigError` unless ``method`` is given exactly the
+    partitions (or plans) it takes."""
+    sides = list(zip(_partitions_taken(method), (has_row, has_col), ("row", "column")))
+    for needs, has, name in sides:
+        if needs and not has:
+            raise ConfigError(f"method {method!r} requires a {name} partition")
+    for needs, has, name in sides:
+        if has and not needs:
+            raise ConfigError(f"method {method!r} does not take a {name} partition")
 
 
 class Kernel:
     """The in-place sketch-and-project update of one method on one system.
 
     Each side of a step picks one block: a single row or column of ``a``
-    drawn by squared norm when given a :class:`NormSampler` (the default),
-    or a block of a :class:`BlockPlan` drawn uniformly.
+    drawn by squared norm, or a block of the :class:`BlockPlan` passed as
+    ``rows`` or ``cols``, drawn uniformly; which one is the method's
+    (``_SKETCH``).  A missing or extra plan raises :class:`ConfigError`, as
+    a partition does in :meth:`MethodConfig.validate`.
 
-    When every side draws single rows or columns (``rk``, ``rek``), an
-    :meth:`apply` of more than one step runs chunks of steps as triangular
-    solves (:class:`_NormChunks`).  Block sides (``block``, ``double``,
-    ``blockcd``, ``hybrid``) and single steps run step by step, each step
-    only its BLAS calls on operands that :meth:`build` made for every block,
-    once, before the first step.
+    ``rk`` and ``rek`` (single rows and columns only) run chunks of steps as
+    triangular solves (:class:`_NormChunks`), a single step as a chunk of
+    one.  ``blockcd`` runs the descent of :class:`_PinvDescent`, ``block``
+    the folded step of :class:`_RowBlocks`, and ``double`` and ``hybrid``
+    both, in one loop (:meth:`_BasesDescent.run_with_rows`): ``hybrid``'s
+    descent runs on single columns.  Each step is only its BLAS calls on
+    operands that :meth:`build` made for every block, once, before the first
+    step.
 
     ``method``, ``a``, ``b`` and the two partitions (``None`` for a side
     drawn by squared norm) record what the kernel was built for.
     """
 
     def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
+        _check_taken(method, rows is not None, cols is not None)
         col_side, row_side = _SKETCH[method]
-        sides = []
-        if col_side is not None:
-            sides.append((col_side, cols if cols is not None else NormSampler(np.einsum("ij,ij->j", a, a)), "last_col"))
-        if row_side is not None:
-            sides.append((row_side, rows if rows is not None else NormSampler(np.einsum("ij,ij->i", a, a)), "last_row"))
-        self._sides = [side(a, b, pick) for side, pick, _ in sides]
-        # a plan is drawn from by its partition: only the sides read the plan
-        self._picks = [pick.partition if isinstance(pick, BlockPlan) else pick for _, pick, _ in sides]
-        self._weighted = [isinstance(pick, NormSampler) for pick in self._picks]
-        self._fields = [name if w else name + "_block" for (_, _, name), w in zip(sides, self._weighted)]
+        sides = [(side, plan, name, sq) for side, plan, name, sq in
+                 ((col_side, cols, "col", "ij,ij->j"), (row_side, rows, "row", "ij,ij->i")) if side is not None]
+        self._weighted = [side == _NORM for side, *_ in sides]
+        self._picks = [NormSampler(np.einsum(sq, a, a)) if side == _NORM else plan.partition for side, plan, _, sq in sides]
+        self._fields = [f"last_{name}" if side == _NORM else f"last_{name}_block" for side, _, name, _ in sides]
         self.method, self.a, self.b = method, a, b
-        self.row_partition = rows.partition if isinstance(rows, BlockPlan) else None
-        self.col_partition = cols.partition if isinstance(cols, BlockPlan) else None
-        self._chunks = _NormChunks(a, b, columns=col_side is not None) if all(self._weighted) else None
+        self.row_partition = None if rows is None else rows.partition
+        self.col_partition = None if cols is None else cols.partition
+        self._chunks = self._descent = self._rows = None
+        if all(self._weighted):
+            self._chunks = _NormChunks(a, b, columns=col_side is not None)
+        elif row_side is None:
+            self._descent = _PinvDescent(a, b, cols)
+        else:
+            self._rows = _RowBlocks(b, rows)
+            if col_side is not None:
+                self._descent = _BasesDescent(a, cols)
         self._built = False
 
     @classmethod
@@ -567,10 +563,12 @@ class Kernel:
         can serve many runs at the memory of one.  Returns the kernel.
         """
         if not self._built:
-            for side in self._sides:
-                side.build(len(self._sides) == 1)
-            if self._chunks is not None:
-                self._chunks.build()
+            for part in (self._chunks, self._descent):
+                if part is not None:
+                    part.build()
+            if self._rows is not None:
+                # double's and hybrid's row steps read z through the descent's bases
+                self._rows.build(None if self._descent is None else self._descent.ut.T)
             self._built = True
         return self
 
@@ -605,15 +603,14 @@ class Kernel:
     def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
         """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
         self.build()
-        if self._chunks is not None and len(indices[0]) > 1:
+        if self._chunks is not None:
             self._chunks(indices, x, z)
-        elif len(self._sides) == 1:
-            self._sides[0].run(indices[0], x, z)
+        elif self._rows is None:
+            self._descent.run(indices[0], x, z)
+        elif self._descent is None:
+            self._rows.run(indices[0], x)
         else:
-            first, second = (side.step for side in self._sides)
-            for t, u in zip(*indices):
-                first(t, x, z)
-                second(u, x, z)
+            self._descent.run_with_rows(self._rows, indices, x, z)
 
     def step(self, state: SolverState, rng: np.random.Generator, *pinned) -> SolverState:
         """One pure step from ``state``: the step :meth:`apply` takes, on copies.
@@ -660,17 +657,18 @@ def epoch_length(method: str, n_rows: int, row_blocks: int | None = None, col_bl
     """
     if n_rows < 1:
         raise ValueError("n_rows must be positive")
-    if method in (RK, REK):
+    if method not in _SKETCH:
+        raise ValueError(f"unknown method {method!r}")
+    row_side = _SKETCH[method][1]
+    if row_side == _NORM:
         return n_rows
-    if method in (BLOCK, DOUBLE, HYBRID):
+    if row_side == _BLOCKS:
         if not row_blocks or row_blocks < 1:
             raise ValueError(f"method {method!r} needs a positive row block count")
         return row_blocks
-    if method == BLOCK_CD:
-        if not col_blocks or col_blocks < 1:
-            raise ValueError(f"method {method!r} needs a positive column block count")
-        return -(-n_rows // col_blocks)
-    raise ValueError(f"unknown method {method!r}")
+    if not col_blocks or col_blocks < 1:
+        raise ValueError(f"method {method!r} needs a positive column block count")
+    return -(-n_rows // col_blocks)
 
 
 def initial_state(system: LinearSystem, method: str) -> SolverState:

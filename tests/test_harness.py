@@ -291,9 +291,9 @@ class TestSharedArmKernel:
         builds = []
         real = solvers._PinvDescent.build
 
-        def counting_build(self, alone):
+        def counting_build(self):
             builds.append(self)
-            return real(self, alone)
+            return real(self)
 
         monkeypatch.setattr(solvers._PinvDescent, "build", counting_build)
         arms = [MethodSetting("blockcd", col_blocks=3), MethodSetting("blockcd", label="p5", col_blocks=5)]

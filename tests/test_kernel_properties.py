@@ -56,7 +56,7 @@ def test_blockcd_keeps_z_equal_to_residual(problem):
     x, z = np.zeros(system.n_cols), system.b.copy()
     scale = np.linalg.norm(system.b) + system.spectral.sigma_max * np.linalg.norm(system.x_ls)
     for _ in range(5):
-        kernel.apply(x, z, kernel.draw(rng, col_plan.n_blocks))
+        kernel.apply(x, z, kernel.draw(rng, col_plan.partition.n_blocks))
         assert np.linalg.norm(z - (system.b - system.a @ x)) <= 1e-10 * scale
 
 
@@ -64,7 +64,7 @@ def test_blockcd_keeps_z_equal_to_residual(problem):
 @given(problems(), st.sampled_from([DOUBLE, BLOCK_CD]))
 def test_z_error_never_increases(problem, method):
     system, row_plan, col_plan, rng = problem
-    kernel = Kernel(method, system.a, system.b, rows=row_plan, cols=col_plan)
+    kernel = Kernel(method, system.a, system.b, rows=row_plan if method == DOUBLE else None, cols=col_plan)
     x, z = np.zeros(system.n_cols), system.b.copy()
     slack = 1e-12 * np.linalg.norm(system.b)
     prev = np.linalg.norm(z - system.b_perp)
@@ -118,7 +118,7 @@ def reference_descent(plan, ks, x, z):
         f = plan.factorizations[k]
         r = f.rank
         w = f.v[:, :r] @ ((f.u[:, :r].T @ z) / f.singular_values[:r])
-        x[plan.block(k)] += w
+        x[plan.partition.blocks[k]] += w
         z -= plan.submatrices[k] @ w
 
 
@@ -134,7 +134,7 @@ def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
     x, z = np.zeros(a.shape[1]), b.copy()
     x_ref, z_ref = x.copy(), z.copy()
     for _ in range(4):
-        ks = kernel.draw(rng, 2 * plan.n_blocks)
+        ks = kernel.draw(rng, 2 * plan.partition.n_blocks)
         kernel.apply(x, z, ks)
         reference_descent(plan, ks[0], x_ref, z_ref)
         assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(x_ref) + np.linalg.norm(b))
@@ -162,15 +162,42 @@ def coherent_row_blocks(draw):
     return make_system(a, rng.standard_normal(n)), row_plan, col_plan, zero_col, rng
 
 
+def reference_column_step(a, j, z):
+    """Project ``z`` off column ``j`` of ``a``: ``z -= (a_j . z) / |a_j|^2 a_j``."""
+    col = a[:, j]
+    z -= (col @ z) / (col @ col) * col
+
+
+def reference_row_step(a, b, i, x, z):
+    """Project ``x`` onto row ``i`` of ``a x = b - z`` (``a x = b`` without ``z``):
+    ``x += (b_i - z_i - a_i . x) / |a_i|^2 a_i``."""
+    r = b[i] - a[i] @ x - (0.0 if z is None else z[i])
+    x += r / (a[i] @ a[i]) * a[i]
+
+
+def reference_single_steps(system, steps, x, z):
+    """``rk``/``rek`` steps one at a time: a column step for ``rek``, then a
+    row step."""
+    cols = steps[0] if z is not None else [None] * len(steps[-1])
+    for j, i in zip(cols, steps[-1]):
+        if j is not None:
+            reference_column_step(system.a, j, z)
+        reference_row_step(system.a, system.b, i, x, z)
+
+
 def reference_row_blocks(system, row_plan, col_plan, steps, x, z):
-    """``block``/``double`` steps in the form ``x += V S^-1 U^T (b - z - A_k x)_k``
-    over the block's numerical rank, after ``z -= U_l U_l^T z`` for ``double``."""
+    """``block``/``double``/``hybrid`` steps in the form
+    ``x += V S^-1 U^T (b - z - A_k x)_k`` over the block's numerical rank,
+    after ``z -= U_l U_l^T z`` for ``double`` and a single-column projection
+    (:func:`reference_column_step`) for ``hybrid`` (no ``col_plan``)."""
     cols = steps[0] if z is not None else [None] * len(steps[-1])
     for l, k in zip(cols, steps[-1]):
-        if l is not None:
+        if l is not None and col_plan is None:
+            reference_column_step(system.a, l, z)
+        elif l is not None:
             u = col_plan.factorizations[l].u[:, : col_plan.factorizations[l].rank]
             z -= u @ (u.T @ z)
-        f, idx = row_plan.factorizations[k], row_plan.block(k)
+        f, idx = row_plan.factorizations[k], row_plan.partition.blocks[k]
         r = system.b[idx] - row_plan.submatrices[k] @ x
         if z is not None:
             r -= z[idx]
@@ -178,7 +205,7 @@ def reference_row_blocks(system, row_plan, col_plan, steps, x, z):
 
 
 @PROPERTY_SETTINGS
-@given(coherent_row_blocks(), st.sampled_from([BLOCK, DOUBLE]))
+@given(coherent_row_blocks(), st.sampled_from([BLOCK, DOUBLE, HYBRID]))
 def test_row_block_epoch_matches_residual_form_steps(problem, method):
     system, row_plan, col_plan, zero_col, rng = problem
     # Both forms lose accuracy in proportion to the worst block's condition
@@ -188,9 +215,9 @@ def test_row_block_epoch_matches_residual_form_steps(problem, method):
     col_plan = col_plan if method == DOUBLE else None
     kernel = Kernel(method, system.a, system.b, rows=row_plan, cols=col_plan)
     x = np.zeros(system.n_cols)
-    z = system.b.copy() if method == DOUBLE else None
+    z = None if method == BLOCK else system.b.copy()
     x_ref, z_ref = x.copy(), None if z is None else z.copy()
-    steps = kernel.draw(rng, row_plan.n_blocks)
+    steps = kernel.draw(rng, row_plan.partition.n_blocks)
     kernel.apply(x, z, steps)
     reference_row_blocks(system, row_plan, col_plan, steps, x_ref, z_ref)
     assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(system.x_ls) + np.linalg.norm(system.b))
@@ -231,8 +258,7 @@ def test_chunked_epoch_matches_single_steps(problem, method):
     for _ in range(3):
         steps = kernel.draw(rng, system.n_rows)
         kernel.apply(x, z, steps)
-        for step in zip(*steps):
-            kernel.apply(x_ref, z_ref, [[k] for k in step])
+        reference_single_steps(system, steps, x_ref, z_ref)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * scale
         if z is not None:
             assert np.linalg.norm(z - z_ref) <= 1e-12 * scale
@@ -336,3 +362,39 @@ def test_one_built_kernel_serves_runs_like_fresh_kernels(method, problem):
         assert (built.z is None and fresh.z is None) or np.array_equal(built.z, fresh.z)
         assert (built.last_row, built.last_col, built.last_row_block, built.last_col_block) == \
             (fresh.last_row, fresh.last_col, fresh.last_row_block, fresh.last_col_block)
+
+
+def held_arrays(obj):
+    """Every ndarray reachable from ``obj`` through attributes, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from held_arrays(value)
+
+
+@pytest.mark.parametrize("method", METHODS + (HYBRID,))
+@PROPERTY_SETTINGS
+@given(shared_kernel_problems())
+def test_built_kernel_operands_stay_unchanged(method, problem):
+    # Every trial of an arm runs through one built kernel, so applies and
+    # single steps must write into no array the kernel holds.
+    system, rows, cols, seeds = problem
+    rows = make_block_plan(system.a, rows) if method in (BLOCK, DOUBLE, HYBRID) else None
+    cols = make_block_plan(system.a, cols) if method in (DOUBLE, BLOCK_CD) else None
+    kernel = Kernel(method, system.a, system.b, rows=rows, cols=cols).build()
+    held = list(held_arrays(kernel))
+    before = [v.copy() for v in held]
+    g = np.random.default_rng(seeds[0])
+    state = initial_state(system, method)
+    x, z = state.x.copy(), None if state.z is None else state.z.copy()
+    kernel.apply(x, z, kernel.draw(g, 2 * system.n_rows))
+    for _ in range(5):
+        state = kernel.step(state, g)
+    after = list(held_arrays(kernel))
+    assert len(after) == len(held) and all(v is w for v, w in zip(after, held))
+    for v, c in zip(held, before):
+        assert np.array_equal(v, c)
