@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,11 +24,32 @@ from .harness import (
 )
 from .matio import read_matrix, read_vector
 from .paving import COLUMNS, ROWS, paving_bounds, random_partition
-from .solvers import METHODS, MethodConfig, StopRule, _partitions_taken, run
+from .solvers import METHODS, ConfigError, MethodConfig, StopRule, _partitions_taken, run
 from .svgplot import write_svg_plot
 from .systems import make_system
 
 OUT_ENV_VAR = "BLOCKKACZMARZ_OUT"
+
+
+def _bounded(kind, test, what: str):
+    """An argparse ``type``: the flag's value read as ``kind``, which must pass
+    ``test``; anything else exits 2 with a usage error naming the flag."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_EPOCHS = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+_TOL = _bounded(float, lambda v: v > 0, "a positive number")
 
 
 @functools.cache
@@ -38,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pave = sub.add_parser("pave-check", help="measure paving bounds of a random partition")
     pave.add_argument("matrix", help="matrix file ('n d' header, then rows)")
-    pave.add_argument("--blocks", type=int, required=True, help="number of partition blocks")
+    pave.add_argument("--blocks", type=_COUNT, required=True, help="number of partition blocks")
     pave.add_argument("--axis", choices=["rows", "cols"], default="rows")
     pave.add_argument("--seed", type=int, default=0)
 
@@ -46,48 +68,57 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--matrix", required=True)
     solve.add_argument("--rhs", required=True)
     solve.add_argument("--method", choices=list(METHODS), required=True)
-    solve.add_argument("--row-blocks", type=int, default=None)
-    solve.add_argument("--col-blocks", type=int, default=None)
+    solve.add_argument("--row-blocks", type=_COUNT, default=None)
+    solve.add_argument("--col-blocks", type=_COUNT, default=None)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--max-epochs", type=int, default=100)
-    solve.add_argument("--tol", type=float, default=1e-6)
+    solve.add_argument("--max-epochs", type=_EPOCHS, default=100)
+    solve.add_argument("--tol", type=_TOL, default=1e-6)
     solve.add_argument("--trace", default=None, help="write the per-epoch CSV trace here")
 
     exp = sub.add_parser("experiment", help="run a multi-trial benchmark preset")
     exp.add_argument("--preset", choices=sorted(PRESETS), required=True)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--trials", type=int, default=40)
+    exp.add_argument("--trials", type=_COUNT, default=40)
     exp.add_argument("--out", default=None, help=f"output directory (default: ${OUT_ENV_VAR} or '.')")
-    exp.add_argument("--max-epochs", type=int, default=None)
-    exp.add_argument("--tol", type=float, default=None)
-    exp.add_argument("--row-blocks", type=int, default=None)
-    exp.add_argument("--col-blocks", type=int, default=None)
+    exp.add_argument("--max-epochs", type=_EPOCHS, default=None)
+    exp.add_argument("--tol", type=_TOL, default=None)
+    exp.add_argument("--row-blocks", type=_COUNT, default=None)
+    exp.add_argument("--col-blocks", type=_COUNT, default=None)
     exp.add_argument("--include-hybrid", action="store_true", help="add the degraded hybrid arm (diagnostic only)")
     return parser
+
+
+def _random_partition(a: np.ndarray, count: int, rng: np.random.Generator, axis: str, flag: str):
+    """:func:`random_partition` of ``a``'s rows or columns into ``count``
+    blocks; a count above their number exits with one line naming ``flag``."""
+    extent = a.shape[0] if axis == ROWS else a.shape[1]
+    if count > extent:
+        raise SystemExit(f"{flag} {count} exceeds the matrix's {extent} {axis}")
+    return random_partition(extent, count, rng, axis)
 
 
 def _cmd_pave_check(args) -> int:
     a = read_matrix(args.matrix)
     axis = ROWS if args.axis == "rows" else COLUMNS
-    extent = a.shape[0] if axis == ROWS else a.shape[1]
-    partition = random_partition(extent, args.blocks, np.random.default_rng(args.seed), axis)
+    partition = _random_partition(a, args.blocks, np.random.default_rng(args.seed), axis, "--blocks")
     params = paving_bounds(a, partition)
     print(f"{params.p} {params.alpha:.17g} {params.beta:.17g}")
     return 0
 
 
 def _cmd_solve(args) -> int:
+    needs_row, needs_col = _partitions_taken(args.method)
+    for needs, count, flag in ((needs_row, args.row_blocks, "--row-blocks"), (needs_col, args.col_blocks, "--col-blocks")):
+        if needs and count is None:
+            raise SystemExit(f"method {args.method!r} requires {flag}")
+        if count is not None and not needs:
+            raise SystemExit(f"method {args.method!r} does not take {flag}")
     a = read_matrix(args.matrix)
     b = read_vector(args.rhs)
     system = make_system(a, b)
-    needs_row, needs_col = _partitions_taken(args.method)
-    if needs_row and not args.row_blocks:
-        raise SystemExit(f"method {args.method!r} requires --row-blocks")
-    if needs_col and not args.col_blocks:
-        raise SystemExit(f"method {args.method!r} requires --col-blocks")
     prng = np.random.default_rng(derive_seed(args.seed, "partition", 0))
-    row_partition = random_partition(a.shape[0], args.row_blocks, prng, ROWS) if needs_row else None
-    col_partition = random_partition(a.shape[1], args.col_blocks, prng, COLUMNS) if needs_col else None
+    row_partition = _random_partition(a, args.row_blocks, prng, ROWS, "--row-blocks") if needs_row else None
+    col_partition = _random_partition(a, args.col_blocks, prng, COLUMNS, "--col-blocks") if needs_col else None
     config = MethodConfig(
         method=args.method,
         row_partition=row_partition,
@@ -115,7 +146,14 @@ def _cmd_experiment(args) -> int:
         col_blocks=args.col_blocks,
         include_hybrid=args.include_hybrid,
     )
-    experiment = run_experiment(preset.spec, list(preset.methods), args.trials, preset.stop)
+    try:
+        experiment = run_experiment(preset.spec, list(preset.methods), args.trials, preset.stop)
+    except ConfigError as exc:
+        # the presets fit their systems: only a block count flag can break one
+        flags = [flag for flag, count in (("--row-blocks", args.row_blocks), ("--col-blocks", args.col_blocks)) if count]
+        if not flags:
+            raise
+        raise SystemExit(f"{' / '.join(flags)}: {exc}") from None
     bands = aggregate_bands(experiment.records)
     write_csv(experiment.records, out_dir / "trace.csv")
     write_csv(bands, out_dir / "bands.csv")

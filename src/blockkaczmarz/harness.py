@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import svd_factor
 from .paving import COLUMNS, ROWS, Partition, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
 from .systems import LinearSystem, attach_oracle, make_system
-from .solvers import (BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, Kernel, MethodConfig, StopRule, Trace,
+from .solvers import (BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, ConfigError, Kernel, MethodConfig, StopRule, Trace,
                       _partitions_taken, epoch_length, run)
 from . import theory
 from .tomography import build_ray_matrix, radial_phantom
@@ -175,6 +175,11 @@ class PreparedMethod:
     base_system: LinearSystem
 
 
+def _check_block_count(setting: MethodSetting, count: int, extent: int, side: str) -> None:
+    if count > extent:
+        raise ConfigError(f"arm {setting.name!r} asks for {count} {side} blocks of the system's {extent} {side}s")
+
+
 def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: int) -> PreparedMethod:
     solve_system = system
     error_fn = None
@@ -189,11 +194,13 @@ def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: in
     takes_rows, takes_cols = _partitions_taken(setting.method)
     if takes_rows:
         if not setting.row_blocks:
-            raise ValueError(f"method {setting.method!r} needs row_blocks")
+            raise ConfigError(f"method {setting.method!r} needs row_blocks")
+        _check_block_count(setting, setting.row_blocks, solve_system.n_rows, "row")
         row_partition = random_partition(solve_system.n_rows, setting.row_blocks, prng, ROWS)
     if takes_cols:
         if not setting.col_blocks:
-            raise ValueError(f"method {setting.method!r} needs col_blocks")
+            raise ConfigError(f"method {setting.method!r} needs col_blocks")
+        _check_block_count(setting, setting.col_blocks, solve_system.n_cols, "column")
         col_partition = random_partition(solve_system.n_cols, setting.col_blocks, prng, COLUMNS)
     return PreparedMethod(setting, solve_system, row_partition, col_partition, error_fn, system)
 

@@ -3,7 +3,8 @@
 Matrix format: first line ``n d``, then ``n`` lines of ``d`` space-separated
 decimals (``#`` is not a comment).  Vector format: first line ``n``, then
 ``n`` decimals, one per line.  Headers must be positive, and a blank, missing
-or malformed line raises ``ValueError`` naming the file.
+or malformed line, or anything but whitespace after the last line, raises
+``ValueError`` naming the file.
 Values are written with 17 significant digits so a round trip preserves at
 least 15 significant digits.
 """
@@ -72,15 +73,21 @@ def _read_header(fh, path: Path, fields: str) -> list[int]:
 
 
 def _read_rows(fh, path: Path, n: int, expected: str) -> np.ndarray:
-    """Up to ``n`` lines of space-separated decimals from ``fh``, as a 2-D array.
+    """Up to ``n`` lines of space-separated decimals from ``fh``, as a 2-D
+    array, and then the end of the file.
 
-    A malformed line raises ``ValueError`` naming ``path`` and what was
-    ``expected``.
+    A malformed line, or anything but whitespace after the ``n`` lines,
+    raises ``ValueError`` naming ``path`` and what was ``expected``.
     """
     try:
         with warnings.catch_warnings():
             # loadtxt only warns on blank or missing rows; they are malformed here
             warnings.simplefilter("error", UserWarning)
-            return np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=n)
+            rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, max_rows=n)
     except (ValueError, UserWarning) as exc:
         raise ValueError(f"{path}: {expected}: {exc}") from exc
+    # loadtxt stops after max_rows lines and leaves fh at the rest of the file
+    extra = fh.read().split(maxsplit=1)
+    if extra:
+        raise ValueError(f"{path}: {expected}, got more after them, starting {extra[0]!r}")
+    return rows

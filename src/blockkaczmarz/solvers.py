@@ -59,8 +59,9 @@ Kaczmarz steps is one forward substitution on the Gram matrix of its rows
 (Bjorck & Elfving, BIT 1979), and ``rek``'s column side is the same on the
 columns.  The iterates are those of the steps taken one by one, up to
 rounding.  The block sides run step by step, each step only its ``np.dot``
-calls and in-place updates on operands built before the epoch's step loop:
-three numpy calls per ``block`` or ``blockcd`` step.
+calls and in-place updates on operands that :meth:`Kernel.build` made for
+every block of the partition, once per kernel: three numpy calls per
+``block`` or ``blockcd`` step.
 """
 
 from __future__ import annotations
@@ -256,13 +257,13 @@ class _PinvDescent:
     most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a`` instead,
     it would grow by ``cond(A_k)^2`` and diverge on nearly collinear blocks.
 
-    Each :meth:`run` takes a list of steps: it gathers ``x`` into block order
-    and computes ``h = h_b - R x`` first, and scatters ``x`` back last, so
-    ``h`` drifts for one call at most.  The ``z`` passed in is not read: when
-    it is an array, it is set to ``z = b - a x`` last (an O(n d) gemv), and
-    when it is ``None``, no residual is formed and ``x`` is the same.  A step
-    is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and by
-    ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
+    Each call runs the steps ``indices[0]``: it gathers ``x`` into block
+    order and computes ``h = h_b - R x`` first, and scatters ``x`` back last,
+    so ``h`` drifts for one call at most.  The ``z`` passed in is not read:
+    when it is an array, it is set to ``z = b - a x`` last (an O(n d) gemv),
+    and when it is ``None``, no residual is formed and ``x`` is the same.  A
+    step is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and
+    by ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
     ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are made by :meth:`build`,
     which drops the plan.
     """
@@ -297,11 +298,11 @@ class _PinvDescent:
             self._c[j] = rk @ half[r]
             self._hb[j] = lk @ utb[r]
 
-    def run(self, ks, x, z) -> None:
+    def __call__(self, indices, x, z) -> None:
         perm, c, slices, dot = self._perm, self._c, self._slices, np.dot
         xp = x[perm]
         h = self._hb - dot(xp, c)
-        for k in ks:
+        for k in indices[0]:
             j = slices[k]
             w = h[j]
             xp[j] += w
@@ -312,18 +313,21 @@ class _PinvDescent:
 
 
 class _BasesDescent:
-    """The column side of ``double`` and ``hybrid``: :class:`_PinvDescent`'s
-    step on ``B = U``, the orthonormal bases ``U_l`` of the column blocks (of
-    the single columns, ``a_j / |a_j|``, when ``cols`` is ``None``), so
-    ``pinv(U_l) = U_l^T``, ``C = U^T U`` and ``h = U^T z``.  The coordinates
-    ``t`` keep ``z = z_0 - U t`` as accurate as the projections
+    """``double`` and ``hybrid``: per step, :class:`_PinvDescent`'s step on
+    ``B = U``, the orthonormal bases ``U_l`` of the column blocks (of the
+    single columns, ``a_j / |a_j|``, when ``cols`` is ``None``), then the
+    folded step of its own :class:`_RowBlocks` on ``rows``.
+
+    On the bases ``pinv(U_l) = U_l^T``, ``C = U^T U`` and ``h = U^T z``.  The
+    coordinates ``t`` keep ``z = z_0 - U t`` as accurate as the projections
     ``z -= U_l U_l^T z``; on ``a``'s blocks, ``z -= A_l w`` would lose
-    ``cond(A_l)`` digits.  :meth:`build` makes ``C`` and :attr:`ut` (``U^T``,
-    O(n d) memory) and drops the plan.
+    ``cond(A_l)`` digits.  :meth:`build` makes ``C`` and ``U^T`` (O(n d)
+    memory), then the row side's operands with the blocks' rows of ``U``
+    appended, and drops the plans.
     """
 
-    def __init__(self, a, cols: BlockPlan | None):
-        self._a, self._cols = a, cols
+    def __init__(self, a, b, rows: BlockPlan, cols: BlockPlan | None):
+        self._a, self._cols, self._rows = a, cols, _RowBlocks(b, rows)
 
     def build(self) -> None:
         if self._cols is None:
@@ -334,20 +338,20 @@ class _BasesDescent:
             bases = _factors(self._cols)[0]
         self._cols = None
         self._slices = _slices([u.shape[1] for u in bases])
-        self.ut = np.concatenate(bases, axis=1).T.copy()
-        self._c = self.ut @ self.ut.T
+        self._ut = np.concatenate(bases, axis=1).T.copy()
+        self._c = self._ut @ self._ut.T
+        self._rows.build(self._ut.T)
 
-    def run_with_rows(self, rows: _RowBlocks, indices, x, z) -> None:
-        """The steps ``indices`` of ``double`` or ``hybrid``: per step, the
-        descent step on ``t``, then ``rows``' step.  ``z`` after the descent
-        steps is ``z - U t``, so the row residual ``(b - z - a x)_k`` is
-        ``[b_k | -A_k | U_k] [1; x; t] - z_k`` for the ``z`` passed in, which
-        is set to ``z - U t`` last."""
-        c, slices, dot = self._c, self._slices, np.dot
-        folded, lifted, rows_of = rows.folded, rows.lifted, rows.rows_of
+    def __call__(self, indices, x, z) -> None:
+        """The steps ``indices``: per step, the descent step on ``t``, then the
+        row step.  ``z`` after the descent steps is ``z - U t``, so the row
+        residual ``(b - z - a x)_k`` is ``[b_k | -A_k | U_k] [1; x; t] - z_k``
+        for the ``z`` passed in, which is set to ``z - U t`` last."""
+        c, ut, slices, dot = self._c, self._ut, self._slices, np.dot
+        folded, lifted, rows_of = self._rows.folded, self._rows.lifted, self._rows.rows_of
         v = np.concatenate(([1.0], x, np.zeros(c.shape[0])))
         x1, t = v[: x.size + 1], v[x.size + 1 :]
-        h = dot(self.ut, z)
+        h = dot(ut, z)
         for l, k in zip(*indices):
             j = slices[l]
             w = h[j]
@@ -355,7 +359,7 @@ class _BasesDescent:
             h -= dot(w, c[j])
             x1 += dot(dot(folded[k], v) - z.take(rows_of[k]), lifted[k])
         x[:] = x1[1:]
-        z -= dot(self.ut.T, t)
+        z -= dot(ut.T, t)
 
 
 def _slices(sizes) -> list[slice]:
@@ -373,16 +377,16 @@ class _RowBlocks:
     Tropp, 2014), built from the plan's SVD factors with the rank cutoff
     kept.  The residual folds into the same gemv: ``x`` runs as ``[1; x]``,
     and a step is ``r = [b_k | -A_k] [1; x]`` and ``[1; x] += r @ [0 | P_k]``,
-    three numpy calls (:meth:`run`).  This is still residual first.  The
+    three numpy calls; ``z`` is not read.  This is still residual first.  The
     x-space form ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as fast, but it
     applies ``S^-1`` to ``b`` once and fixes that rounding into its fixed
     point: on blocks of near-duplicate rows its error floor was up to 28
     times that of the residual-first step.
 
     :meth:`build` makes the contiguous :attr:`folded` ``[b_k | -A_k]``, with
-    the block's rows of ``bases`` appended when given
-    (:meth:`_BasesDescent.run_with_rows`), and :attr:`lifted` ``[0 | P_k]``,
-    and drops the plan; :attr:`rows_of` are the blocks' rows.
+    the block's rows of ``bases`` appended when given (the row side of
+    :class:`_BasesDescent`), and :attr:`lifted` ``[0 | P_k]``, and drops the
+    plan; :attr:`rows_of` are the blocks' rows.
     """
 
     def __init__(self, b, rows: BlockPlan):
@@ -396,10 +400,10 @@ class _RowBlocks:
         self.lifted = [np.hstack((np.zeros((len(bk), 1)), pt)) for bk, pt in zip(bks, pts)]
         self._sub = self._facts = None
 
-    def run(self, ks, x) -> None:
+    def __call__(self, indices, x, z) -> None:
         m, q = self.folded, self.lifted
         x1, dot = np.concatenate(([1.0], x)), np.dot
-        for k in ks:
+        for k in indices[0]:
             x1 += dot(dot(m[k], x1), q[k])
         x[:] = x1[1:]
 
@@ -500,22 +504,26 @@ def _check_taken(method: str, has_row: bool, has_col: bool) -> None:
 
 
 class Kernel:
-    """The in-place sketch-and-project update of one method on one system.
+    """The in-place sketch-and-project update of one method on one system:
+    its draws plus one engine.
 
-    Each side of a step picks one block: a single row or column of ``a``
-    drawn by squared norm, or a block of the :class:`BlockPlan` passed as
-    ``rows`` or ``cols``, drawn uniformly; which one is the method's
-    (``_SKETCH``).  A missing or extra plan raises :class:`ConfigError`, as
-    a partition does in :meth:`MethodConfig.validate`.
+    The draws: each side of a step picks one block, a single row or column
+    of ``a`` drawn by squared norm, or a block of the :class:`BlockPlan`
+    passed as ``rows`` or ``cols``, drawn uniformly; which one is the
+    method's (``_SKETCH``).  A missing or extra plan raises
+    :class:`ConfigError`, as a partition does in
+    :meth:`MethodConfig.validate`.
 
-    ``rk`` and ``rek`` (single rows and columns only) run chunks of steps as
-    triangular solves (:class:`_NormChunks`), a single step as a chunk of
-    one.  ``blockcd`` runs the descent of :class:`_PinvDescent`, ``block``
-    the folded step of :class:`_RowBlocks`, and ``double`` and ``hybrid``
-    both, in one loop (:meth:`_BasesDescent.run_with_rows`): ``hybrid``'s
-    descent runs on single columns.  Each step is only its BLAS calls on
-    operands that :meth:`build` made for every block, once, before the first
-    step.
+    The engine runs the drawn steps on ``x`` and ``z``; each has
+    ``build()`` and ``__call__(indices, x, z)``.  ``rk`` and ``rek`` (single
+    rows and columns only) run chunks of steps as triangular solves
+    (:class:`_NormChunks`), a single step as a chunk of one.  ``blockcd``
+    runs the descent of :class:`_PinvDescent`, ``block`` the folded step of
+    :class:`_RowBlocks`, and ``double`` and ``hybrid`` the descent on the
+    column blocks' bases with its own folded row step
+    (:class:`_BasesDescent`): ``hybrid``'s descent runs on single columns.
+    Each step is only its BLAS calls on operands that :meth:`build` made for
+    every block, once, before the first step.
 
     ``method``, ``a``, ``b`` and the two partitions (``None`` for a side
     drawn by squared norm) record what the kernel was built for.
@@ -526,21 +534,19 @@ class Kernel:
         col_side, row_side = _SKETCH[method]
         sides = [(side, plan, name, sq) for side, plan, name, sq in
                  ((col_side, cols, "col", "ij,ij->j"), (row_side, rows, "row", "ij,ij->i")) if side is not None]
-        self._weighted = [side == _NORM for side, *_ in sides]
         self._picks = [NormSampler(np.einsum(sq, a, a)) if side == _NORM else plan.partition for side, plan, _, sq in sides]
         self._fields = [f"last_{name}" if side == _NORM else f"last_{name}_block" for side, _, name, _ in sides]
         self.method, self.a, self.b = method, a, b
         self.row_partition = None if rows is None else rows.partition
         self.col_partition = None if cols is None else cols.partition
-        self._chunks = self._descent = self._rows = None
-        if all(self._weighted):
-            self._chunks = _NormChunks(a, b, columns=col_side is not None)
+        if row_side == _NORM:
+            self._engine = _NormChunks(a, b, columns=col_side is not None)
         elif row_side is None:
-            self._descent = _PinvDescent(a, b, cols)
+            self._engine = _PinvDescent(a, b, cols)
+        elif col_side is None:
+            self._engine = _RowBlocks(b, rows)
         else:
-            self._rows = _RowBlocks(b, rows)
-            if col_side is not None:
-                self._descent = _BasesDescent(a, cols)
+            self._engine = _BasesDescent(a, b, rows, cols)
         self._built = False
 
     @classmethod
@@ -563,12 +569,7 @@ class Kernel:
         can serve many runs at the memory of one.  Returns the kernel.
         """
         if not self._built:
-            for part in (self._chunks, self._descent):
-                if part is not None:
-                    part.build()
-            if self._rows is not None:
-                # double's and hybrid's row steps read z through the descent's bases
-                self._rows.build(None if self._descent is None else self._descent.ut.T)
+            self._engine.build()
             self._built = True
         return self
 
@@ -588,7 +589,8 @@ class Kernel:
         The stream is the same as drawing each step's indices in turn, side
         by side, with one scalar draw each.
         """
-        picks, weighted = self._picks, self._weighted
+        picks = self._picks
+        weighted = [isinstance(p, NormSampler) for p in picks]
         if all(weighted):
             u = rng.random((steps, len(picks)))
             return [p.locate(u[:, j]).tolist() for j, p in enumerate(picks)]
@@ -603,14 +605,7 @@ class Kernel:
     def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
         """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
         self.build()
-        if self._chunks is not None:
-            self._chunks(indices, x, z)
-        elif self._rows is None:
-            self._descent.run(indices[0], x, z)
-        elif self._descent is None:
-            self._rows.run(indices[0], x)
-        else:
-            self._descent.run_with_rows(self._rows, indices, x, z)
+        self._engine(indices, x, z)
 
     def step(self, state: SolverState, rng: np.random.Generator, *pinned) -> SolverState:
         """One pure step from ``state``: the step :meth:`apply` takes, on copies.

@@ -4,16 +4,10 @@ Every bound evaluated here uses *measured* quantities: spectral constants
 from the SVD and paving parameters measured on the actual partitions a run
 used.  Envelopes bound expected squared errors, so an empirical check must
 average over many seeded runs; a single trajectory may exceed its envelope.
-
-Rates of the form ``1 - c / (kappa^2 * log(1 + n))`` that involve an
-unspecified absolute constant are exposed only through
-:func:`log_reference_rate`, which requires the caller to supply the constant
-explicitly; nothing in this module asserts a value for it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,17 +173,6 @@ def standardized_paving_rate(a_std: np.ndarray, paving: PavingParams) -> float:
     a_std = as_matrix(a_std)
     summary = spectral_summary(a_std)
     return contraction_rate(summary.sigma_min_nonzero**2, paving)
-
-
-def log_reference_rate(c_constant: float, condition: float, count: int) -> float:
-    """Reference-curve rate ``1 - c / (kappa^2 * log(1 + count))``.
-
-    The absolute constant is not known numerically; callers choose one for
-    plotting purposes only.
-    """
-    if c_constant <= 0 or condition < 1 or count < 1:
-        raise ValueError("need c_constant > 0, condition >= 1, count >= 1")
-    return 1.0 - c_constant / (condition**2 * math.log(1.0 + count))
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,79 @@ class TestSolve:
             main(["solve", "--matrix", mpath, "--rhs", bpath, "--method", "hybrid"])
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve-blockcd", "--col-blocks", "0"),
+            ("solve-blockcd", "--col-blocks", "-3"),
+            ("solve-block", "--row-blocks", "two"),
+            ("solve-blockcd", "--max-epochs", "-1"),
+            ("solve-blockcd", "--tol", "0"),
+            ("solve-blockcd", "--tol", "nan"),
+            ("pave-check", "--blocks", "0"),
+            ("experiment", "--trials", "0"),
+            ("experiment", "--max-epochs", "-1"),
+            ("experiment", "--tol", "-0.5"),
+            ("experiment", "--row-blocks", "0"),
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(self, system_files, tmp_path, capsys, command, flag, value):
+        _, _, mpath, bpath = system_files
+        argv = {
+            "solve-blockcd": ["solve", "--matrix", mpath, "--rhs", bpath, "--method", "blockcd", "--col-blocks", "2"],
+            "solve-block": ["solve", "--matrix", mpath, "--rhs", bpath, "--method", "block"],
+            "pave-check": ["pave-check", mpath],
+            "experiment": ["experiment", "--preset", "fig1", "--out", str(tmp_path)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err and f", got {value!r}" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_zero_epochs_accepted(self, system_files, capsys):
+        _, _, mpath, bpath = system_files
+        argv = ["solve", "--matrix", mpath, "--rhs", bpath, "--method", "blockcd", "--col-blocks", "2"]
+        assert main(argv + ["--max-epochs", "0"]) == 0
+        assert capsys.readouterr().out.strip().endswith("epochs=0")
+
+    @pytest.mark.parametrize("method, flag", [("rek", "--row-blocks"), ("rk", "--col-blocks"),
+                                              ("block", "--col-blocks"), ("blockcd", "--row-blocks")])
+    def test_solve_rejects_a_block_flag_its_method_does_not_take(self, system_files, method, flag):
+        _, _, mpath, bpath = system_files
+        argv = ["solve", "--matrix", mpath, "--rhs", bpath, "--method", method, flag, "3"]
+        needed = {"block": ["--row-blocks", "2"], "blockcd": ["--col-blocks", "2"]}.get(method, [])
+        with pytest.raises(SystemExit, match=f"^method '{method}' does not take {flag}$"):
+            main(argv + needed)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--method", "blockcd", "--col-blocks", "7"], "--col-blocks 7 exceeds the matrix's 6 columns"),
+            (["solve", "--method", "block", "--row-blocks", "25"], "--row-blocks 25 exceeds the matrix's 24 rows"),
+            (["pave-check", "--blocks", "25"], "--blocks 25 exceeds the matrix's 24 rows"),
+            (["pave-check", "--blocks", "7", "--axis", "cols"], "--blocks 7 exceeds the matrix's 6 columns"),
+        ],
+    )
+    def test_block_count_above_the_matrix_extent(self, system_files, argv, message):
+        _, _, mpath, bpath = system_files
+        files = ["--matrix", mpath, "--rhs", bpath] if argv[0] == "solve" else [mpath]
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(argv[:1] + files + argv[1:])
+
+    @pytest.mark.parametrize(
+        "flag, count, message",
+        [("--col-blocks", "101", "arm 'double' asks for 101 column blocks of the system's 100 columns"),
+         ("--row-blocks", "301", "arm 'double' asks for 301 row blocks of the system's 300 rows")],
+    )
+    def test_experiment_block_count_above_the_system_extent(self, tmp_path, flag, count, message):
+        argv = ["experiment", "--preset", "fig1", "--trials", "1", "--max-epochs", "0", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit, match=f"^{flag}: {message}$"):
+            main(argv + [flag, count])
+
+
 def strip_cpu_column(path):
     return [",".join(line.split(",")[:-1]) for line in path.read_text().splitlines()]
 

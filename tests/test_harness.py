@@ -284,22 +284,47 @@ class TestSharedArmKernel:
         assert len({id(part) for part in calls}) == 3
         assert len(experiment.records) == trials * len(p.methods)
 
+    # each method's step engine, and the block counts of its arms
+    ENGINES = {
+        "rk": ("_NormChunks", {}),
+        "rek": ("_NormChunks", {}),
+        "blockcd": ("_PinvDescent", {"col_blocks": 3}),
+        "block": ("_RowBlocks", {"row_blocks": 4}),
+        "double": ("_BasesDescent", {"row_blocks": 4, "col_blocks": 3}),
+        "hybrid": ("_BasesDescent", {"row_blocks": 4}),
+    }
+
     @pytest.mark.parametrize("max_epochs", [0, 3])
-    def test_each_arm_builds_its_kernel_once_whatever_the_stop_rule(self, max_epochs, monkeypatch):
+    @pytest.mark.parametrize("method", list(ENGINES))
+    def test_each_arm_builds_its_kernel_once_whatever_the_stop_rule(self, method, max_epochs, monkeypatch):
         # an arm's kernel is built when the arm is prepared, so an experiment
         # without epochs builds it too, and its trials never build it again
         builds = []
-        real = solvers._PinvDescent.build
+        engine, blocks = self.ENGINES[method]
+        owner = getattr(solvers, engine)
+        real = owner.build
 
         def counting_build(self):
             builds.append(self)
             return real(self)
 
-        monkeypatch.setattr(solvers._PinvDescent, "build", counting_build)
-        arms = [MethodSetting("blockcd", col_blocks=3), MethodSetting("blockcd", label="p5", col_blocks=5)]
+        monkeypatch.setattr(owner, "build", counting_build)
+        arms = [MethodSetting(method, **blocks), MethodSetting(method, label="second", **blocks)]
         experiment = run_experiment(tiny_spec(), arms, 3, StopRule(max_epochs, 1e-300))
-        assert len(builds) == 2
+        assert len(builds) == 2 and builds[0] is not builds[1]
         assert all(len(rec.trace.rows) == max_epochs + 1 for rec in experiment.records)
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [({"row_blocks": 21}, "arm 'double' asks for 21 row blocks of the system's 20 rows"),
+         ({"col_blocks": 11}, "arm 'double' asks for 11 column blocks of the system's 10 columns"),
+         ({"row_blocks": None}, "method 'double' needs row_blocks"),
+         ({"col_blocks": None}, "method 'double' needs col_blocks")],
+    )
+    def test_arm_whose_block_counts_do_not_fit_raises_config_error(self, blocks, message):
+        arm = MethodSetting("double", **{"row_blocks": 4, "col_blocks": 3, **blocks})
+        with pytest.raises(solvers.ConfigError, match=f"^{message}$"):
+            run_experiment(tiny_spec(), [arm], 1, StopRule(1, 1e-6))
 
     def test_unknown_method_raises_config_error(self):
         with pytest.raises(solvers.ConfigError, match="unknown method 'nope'"):

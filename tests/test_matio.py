@@ -108,3 +108,28 @@ def test_non_numeric_vector_entry(tmp_path, token):
     path.write_text(f"2\n1\n{token}\n")
     with pytest.raises(ValueError, match="expected 2 values: could not convert"):
         read_vector(path)
+
+
+@pytest.mark.parametrize("trailer, first", [("5 6\n", "5"), ("foo\n", "foo"), ("\n\n5 6", "5")])
+def test_data_after_matrix_rows(tmp_path, trailer, first):
+    # an extra row, a trailing non-numeric line, data after blank lines
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\n1 2\n3 4\n" + trailer)
+    with pytest.raises(ValueError, match=f"bad.txt: expected 2 rows of 2 entries, got more after them, starting '{first}'"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("trailer, first", [("5\n", "5"), ("foo\n", "foo"), ("\n5", "5")])
+def test_data_after_vector_values(tmp_path, trailer, first):
+    path = tmp_path / "bad.txt"
+    path.write_text("2\n1\n2\n" + trailer)
+    with pytest.raises(ValueError, match=f"bad.txt: expected 2 values, got more after them, starting '{first}'"):
+        read_vector(path)
+
+
+def test_trailing_whitespace_after_the_data_is_allowed(tmp_path):
+    matrix, vector = tmp_path / "a.txt", tmp_path / "v.txt"
+    matrix.write_text("2 2\n1 2\n3 4\n\n  \n")
+    vector.write_text("2\n1\n2\n\n")
+    assert np.array_equal(read_matrix(matrix), [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(read_vector(vector), [1.0, 2.0])

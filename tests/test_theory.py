@@ -26,7 +26,6 @@ from blockkaczmarz.theory import (
     contraction_rate,
     double_block_error_bound,
     geometric_recursion_bound,
-    log_reference_rate,
     rate_constants,
     rek_error_bound,
     rk_convergence_horizon,
@@ -264,12 +263,6 @@ class TestStandardizedAndTransportedRates:
     def test_negative_delta_rejected(self, rng):
         with pytest.raises(ValueError, match="delta"):
             transported_paving_rate(np.eye(3), -0.1, PavingParams(1, 1.0, 1.0))
-
-    def test_log_reference_rate_needs_explicit_constant(self):
-        rate = log_reference_rate(1.0, 3.7, 300)
-        assert 0.0 < rate < 1.0
-        with pytest.raises(TypeError):
-            log_reference_rate(condition=3.7, count=300)
 
 
 class TestBlockCdBounds:
