@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import svd_factor
-from .paving import COLUMNS, ROWS, Partition, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
+from .paving import COLUMNS, ROWS, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
 from .systems import LinearSystem, attach_oracle, make_system
 from .solvers import (BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, ConfigError, Kernel, MethodConfig, StopRule, Trace,
                       _partitions_taken, epoch_length, run)
@@ -165,22 +165,29 @@ def derive_seed(master: int, label: str, index: int) -> int:
 
 @dataclass
 class PreparedMethod:
-    """A method arm bound to a concrete system, partitions, and error metric."""
+    """A method arm bound to a concrete system and error metric: ``config``
+    holds the method and the partitions every trial of the arm runs on, with
+    no seed or kernel yet."""
 
     setting: MethodSetting
     solve_system: LinearSystem
-    row_partition: Partition | None
-    col_partition: Partition | None
+    config: MethodConfig
     error_fn: object | None
     base_system: LinearSystem
 
 
-def _check_block_count(setting: MethodSetting, count: int, extent: int, side: str) -> None:
-    if count > extent:
-        raise ConfigError(f"arm {setting.name!r} asks for {count} {side} blocks of the system's {extent} {side}s")
-
-
 def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: int) -> PreparedMethod:
+    """Bind ``setting`` to ``system``: the one place an arm's block counts
+    become partitions.
+
+    :class:`ConfigError` for an unknown method, a block count missing for a
+    side the method takes, a count for a side it does not take, and a count
+    above the system's rows or columns.  The partitions come from one stream,
+    ``derive_seed(master_seed, setting.name + "#partition", 0)``, row side
+    first.  With ``standardize_columns`` the arm solves the column-standardized
+    system and measures its error on the unscaled solution.
+    """
+    takes_rows, takes_cols = _partitions_taken(setting.method)
     solve_system = system
     error_fn = None
     if setting.standardize_columns:
@@ -189,20 +196,20 @@ def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: in
         x_true = system.x_ls
         error_fn = lambda x: float(np.linalg.norm(unscale_solution(x, scaling) - x_true))
     prng = np.random.default_rng(derive_seed(master_seed, setting.name + "#partition", 0))
-    row_partition = None
-    col_partition = None
-    takes_rows, takes_cols = _partitions_taken(setting.method)
-    if takes_rows:
-        if not setting.row_blocks:
-            raise ConfigError(f"method {setting.method!r} needs row_blocks")
-        _check_block_count(setting, setting.row_blocks, solve_system.n_rows, "row")
-        row_partition = random_partition(solve_system.n_rows, setting.row_blocks, prng, ROWS)
-    if takes_cols:
-        if not setting.col_blocks:
-            raise ConfigError(f"method {setting.method!r} needs col_blocks")
-        _check_block_count(setting, setting.col_blocks, solve_system.n_cols, "column")
-        col_partition = random_partition(solve_system.n_cols, setting.col_blocks, prng, COLUMNS)
-    return PreparedMethod(setting, solve_system, row_partition, col_partition, error_fn, system)
+    partitions = []
+    for taken, count, field, axis, extent in (
+        (takes_rows, setting.row_blocks, "row_blocks", ROWS, system.n_rows),
+        (takes_cols, setting.col_blocks, "col_blocks", COLUMNS, system.n_cols),
+    ):
+        if taken and not count:
+            raise ConfigError(f"method {setting.method!r} needs {field}")
+        if not taken and count is not None:
+            raise ConfigError(f"method {setting.method!r} does not take {field}")
+        if taken and count > extent:
+            raise ConfigError(f"arm {setting.name!r} asks for {count} {axis[:-1]} blocks of the system's {extent} {axis}")
+        partitions.append(random_partition(extent, count, prng, axis) if taken else None)
+    config = MethodConfig(setting.method, *partitions)
+    return PreparedMethod(setting, solve_system, config, error_fn, system)
 
 
 @dataclass
@@ -244,10 +251,9 @@ def run_experiment(
     for setting in methods:
         prep = prepare_method(system, setting, spec.seed)
         arms.append(prep)
-        arm = MethodConfig(setting.method, row_partition=prep.row_partition, col_partition=prep.col_partition)
-        kernel = Kernel.for_config(prep.solve_system, arm).build()
+        kernel = Kernel.for_config(prep.solve_system, prep.config).build()
         for trial in range(trials):
-            config = replace(arm, seed=derive_seed(spec.seed, setting.name, trial), kernel=kernel)
+            config = replace(prep.config, seed=derive_seed(spec.seed, setting.name, trial), kernel=kernel)
             trace = run(prep.solve_system, config, stop, error_fn=prep.error_fn)
             records.append(ExperimentRecord(method=setting.name, trial=trial, trace=trace))
     return Experiment(system=system, arms=arms, records=records)
@@ -391,14 +397,14 @@ def compute_envelopes(arms: list[PreparedMethod], max_epochs: dict[str, int]) ->
             for ep, it in grid:
                 rows.append(EnvelopeRow(setting.name, ep, it, "error_l2_sq", plateau))
         elif setting.method == DOUBLE:
-            row_paving = paving_bounds(solve.a, prep.row_partition)
-            col_paving = paving_bounds(solve.a, prep.col_partition)
+            row_paving = paving_bounds(solve.a, prep.config.row_partition)
+            col_paving = paving_bounds(solve.a, prep.config.col_partition)
             consts = theory.rate_constants(solve, row_paving, col_paving)
             for ep, it in grid:
                 val = theory.double_block_error_bound(it, consts, x0_err_sq)
                 rows.append(EnvelopeRow(setting.name, ep, it, "error_l2_sq", val))
         elif setting.method == BLOCK_CD:
-            col_paving = paving_bounds(solve.a, prep.col_partition)
+            col_paving = paving_bounds(solve.a, prep.config.col_partition)
             gamma_col = theory.contraction_rate(solve.spectral.sigma_min_nonzero**2, col_paving)
             base = prep.base_system
             kappa = base.spectral.condition
@@ -490,7 +496,14 @@ def make_preset(
     col_blocks: int | None = None,
     include_hybrid: bool = False,
 ) -> Preset:
-    """Instantiate a preset with a seed and optional overrides."""
+    """Instantiate a preset with a seed and optional overrides.
+
+    ``include_hybrid`` appends the ``hybrid`` arm with
+    ``DEFAULT_ROW_BLOCKS`` row blocks.  ``row_blocks`` and ``col_blocks`` then
+    replace the count of every arm whose method takes that side;
+    :class:`ConfigError` if no arm takes it, or if the arms that take it
+    have different counts (their labels would no longer say which is which).
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (choose from {', '.join(sorted(PRESETS))})")
     preset = PRESETS[name]
@@ -499,13 +512,18 @@ def make_preset(
         max_epochs=max_epochs if max_epochs is not None else preset.stop.max_epochs,
         error_threshold=error_threshold if error_threshold is not None else preset.stop.error_threshold,
     )
-    methods = []
-    for m in preset.methods:
-        if row_blocks is not None and m.row_blocks is not None:
-            m = replace(m, row_blocks=row_blocks)
-        if col_blocks is not None and m.col_blocks is not None:
-            m = replace(m, col_blocks=col_blocks)
-        methods.append(m)
+    methods = list(preset.methods)
     if include_hybrid:
-        methods.append(MethodSetting(HYBRID, row_blocks=row_blocks or DEFAULT_ROW_BLOCKS))
+        methods.append(MethodSetting(HYBRID, row_blocks=DEFAULT_ROW_BLOCKS))
+    for side, field, count in ((0, "row_blocks", row_blocks), (1, "col_blocks", col_blocks)):
+        if count is None:
+            continue
+        takers = [i for i, m in enumerate(methods) if _partitions_taken(m.method)[side]]
+        if not takers:
+            raise ConfigError(f"no arm of preset {name!r} takes {field}")
+        counts = sorted({getattr(methods[i], field) for i in takers})
+        if len(counts) > 1:
+            raise ConfigError(f"the arms of preset {name!r} take different {field}: {', '.join(map(str, counts))}")
+        for i in takers:
+            methods[i] = replace(methods[i], **{field: count})
     return Preset(spec=spec, methods=tuple(methods), stop=stop)

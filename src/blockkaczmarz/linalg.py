@@ -42,23 +42,14 @@ class SvdFactorization:
     """Thin SVD ``a = u @ diag(s) @ v.T`` with a numerical-rank cutoff.
 
     ``u`` and ``v`` have orthonormal columns, ``singular_values`` is
-    nonincreasing, and ``rank`` counts the singular values exceeding
-    ``rank_tolerance * s[0]``.
+    nonincreasing, and ``rank`` counts the singular values above the cutoff
+    :func:`svd_factor` was given.
     """
 
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
-    rank_tolerance: float
     rank: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.v.shape[0]
 
 
 def svd_factor(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SvdFactorization:
@@ -79,8 +70,7 @@ def svd_factor(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) ->
     """
     a = as_matrix(a)
     u, s, vt = _svd(a, rank_tolerance, compute_uv=True)
-    return SvdFactorization(u=u, singular_values=s, v=vt.T, rank_tolerance=float(rank_tolerance),
-                            rank=_numerical_rank(s, rank_tolerance))
+    return SvdFactorization(u=u, singular_values=s, v=vt.T, rank=_numerical_rank(s, rank_tolerance))
 
 
 def _svd(a: np.ndarray, rank_tolerance: float, compute_uv: bool):

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blockkaczmarz import harness
 from blockkaczmarz.cli import main
-from blockkaczmarz.harness import derive_seed
-from blockkaczmarz.matio import write_matrix, write_vector
+from blockkaczmarz.harness import ExperimentRecord, MethodSetting, derive_seed, prepare_method, write_csv
+from blockkaczmarz.matio import read_matrix, read_vector, write_matrix, write_vector
 from blockkaczmarz.paving import paving_bounds, random_partition
+from blockkaczmarz.solvers import StopRule, run
+from blockkaczmarz.systems import make_system
 
 
 @pytest.fixture
@@ -61,6 +65,23 @@ class TestSolve:
         assert lines[0].startswith("method,trial,epoch")
         assert lines[1].split(",")[0] == "blockcd"
 
+    @pytest.mark.parametrize("method, blocks", [("blockcd", ["--col-blocks", "3"]),
+                                                ("double", ["--row-blocks", "4", "--col-blocks", "2"])])
+    def test_trace_matches_the_prepared_arm_at_the_same_seed(self, system_files, tmp_path, capsys, method, blocks):
+        # solve draws the partitions an experiment arm of its method draws
+        _, _, mpath, bpath = system_files
+        trace_path = tmp_path / "trace.csv"
+        argv = ["solve", "--matrix", mpath, "--rhs", bpath, "--method", method, *blocks,
+                "--seed", "5", "--max-epochs", "20", "--tol", "1e-12", "--trace", str(trace_path)]
+        assert main(argv) == 0
+        system = make_system(read_matrix(mpath), read_vector(bpath))
+        counts = dict(zip(blocks[::2], map(int, blocks[1::2])))
+        setting = MethodSetting(method, row_blocks=counts.get("--row-blocks"), col_blocks=counts.get("--col-blocks"))
+        config = replace(prepare_method(system, setting, 5).config, seed=derive_seed(5, method, 0))
+        ref = tmp_path / "ref.csv"
+        write_csv([ExperimentRecord(method=method, trial=0, trace=run(system, config, StopRule(20, 1e-12)))], ref)
+        assert strip_cpu_column(trace_path) == strip_cpu_column(ref)
+
     def test_block_requires_row_blocks(self, system_files):
         _, _, mpath, bpath = system_files
         with pytest.raises(SystemExit):
@@ -87,6 +108,9 @@ class TestNumericFlags:
             ("experiment", "--max-epochs", "-1"),
             ("experiment", "--tol", "-0.5"),
             ("experiment", "--row-blocks", "0"),
+            ("solve-blockcd", "--seed", "-1"),
+            ("pave-check", "--seed", "-1"),
+            ("experiment", "--seed", "-1"),
         ],
     )
     def test_out_of_range_value_is_a_usage_error(self, system_files, tmp_path, capsys, command, flag, value):
@@ -116,14 +140,21 @@ class TestNumericFlags:
         _, _, mpath, bpath = system_files
         argv = ["solve", "--matrix", mpath, "--rhs", bpath, "--method", method, flag, "3"]
         needed = {"block": ["--row-blocks", "2"], "blockcd": ["--col-blocks", "2"]}.get(method, [])
-        with pytest.raises(SystemExit, match=f"^method '{method}' does not take {flag}$"):
+        # the message leads with every block flag given, rows first
+        flags = "--row-blocks / --col-blocks" if needed else flag
+        field = flag[2:].replace("-", "_")
+        with pytest.raises(SystemExit, match=f"^{flags}: method '{method}' does not take {field}$"):
             main(argv + needed)
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["solve", "--method", "blockcd", "--col-blocks", "7"], "--col-blocks 7 exceeds the matrix's 6 columns"),
-            (["solve", "--method", "block", "--row-blocks", "25"], "--row-blocks 25 exceeds the matrix's 24 rows"),
+            pytest.param(["solve", "--method", "blockcd", "--col-blocks", "7"],
+                         "--col-blocks: arm 'blockcd' asks for 7 column blocks of the system's 6 columns",
+                         id="argv0---col-blocks 7 exceeds the matrix's 6 columns"),
+            pytest.param(["solve", "--method", "block", "--row-blocks", "25"],
+                         "--row-blocks: arm 'block' asks for 25 row blocks of the system's 24 rows",
+                         id="argv1---row-blocks 25 exceeds the matrix's 24 rows"),
             (["pave-check", "--blocks", "25"], "--blocks 25 exceeds the matrix's 24 rows"),
             (["pave-check", "--blocks", "7", "--axis", "cols"], "--blocks 7 exceeds the matrix's 6 columns"),
         ],
@@ -143,6 +174,17 @@ class TestNumericFlags:
         argv = ["experiment", "--preset", "fig1", "--trials", "1", "--max-epochs", "0", "--out", str(tmp_path)]
         with pytest.raises(SystemExit, match=f"^{flag}: {message}$"):
             main(argv + [flag, count])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--preset", "fig2", "--row-blocks", "5"], "--row-blocks: no arm of preset 'fig2' takes row_blocks"),
+         (["--preset", "fig4", "--col-blocks", "25"],
+          "--col-blocks: the arms of preset 'fig4' take different col_blocks: 10, 20, 40")],
+    )
+    def test_experiment_block_flag_no_arm_or_arms_of_several_counts_take(self, tmp_path, argv, message):
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["experiment", *argv, "--trials", "1", "--max-epochs", "0", "--out", str(tmp_path)])
+        assert not (tmp_path / "trace.csv").exists()
 
 
 def strip_cpu_column(path):

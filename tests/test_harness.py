@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from blockkaczmarz.harness import (
 )
 from blockkaczmarz import harness, linalg, solvers, systems
 from blockkaczmarz.paving import column_standardize, dynamic_range, row_standardize
-from blockkaczmarz.solvers import MethodConfig, StopRule, make_block_plan, run
+from blockkaczmarz.solvers import StopRule, make_block_plan, run
 from blockkaczmarz.systems import make_system
 
 
@@ -247,9 +249,7 @@ def fresh_kernel_replay(experiment, trials, stop):
     traces = []
     for prep in experiment.arms:
         for trial in range(trials):
-            config = MethodConfig(prep.setting.method, row_partition=prep.row_partition,
-                                  col_partition=prep.col_partition,
-                                  seed=derive_seed(0, prep.setting.name, trial))
+            config = replace(prep.config, seed=derive_seed(0, prep.setting.name, trial))
             traces.append(run(prep.solve_system, config, stop, error_fn=prep.error_fn))
     return traces
 
@@ -319,10 +319,12 @@ class TestSharedArmKernel:
         [({"row_blocks": 21}, "arm 'double' asks for 21 row blocks of the system's 20 rows"),
          ({"col_blocks": 11}, "arm 'double' asks for 11 column blocks of the system's 10 columns"),
          ({"row_blocks": None}, "method 'double' needs row_blocks"),
-         ({"col_blocks": None}, "method 'double' needs col_blocks")],
+         ({"col_blocks": None}, "method 'double' needs col_blocks"),
+         ({"method": "rk", "col_blocks": None}, "method 'rk' does not take row_blocks"),
+         ({"method": "blockcd"}, "method 'blockcd' does not take row_blocks")],
     )
     def test_arm_whose_block_counts_do_not_fit_raises_config_error(self, blocks, message):
-        arm = MethodSetting("double", **{"row_blocks": 4, "col_blocks": 3, **blocks})
+        arm = MethodSetting(**{"method": "double", "row_blocks": 4, "col_blocks": 3, **blocks})
         with pytest.raises(solvers.ConfigError, match=f"^{message}$"):
             run_experiment(tiny_spec(), [arm], 1, StopRule(1, 1e-6))
 
@@ -500,6 +502,22 @@ class TestPresets:
     def test_make_preset_hybrid_arm(self):
         preset = make_preset("fig1", seed=0, include_hybrid=True)
         assert preset.methods[-1].method == "hybrid"
+
+    def test_block_flag_reaches_every_arm_that_takes_its_side(self):
+        preset = make_preset("fig3a", seed=0, row_blocks=5, include_hybrid=True)
+        assert {m.method: m.row_blocks for m in preset.methods} == {"rek": None, "double": 5, "block": 5, "hybrid": 5}
+        assert [m.col_blocks for m in preset.methods] == [None, 10, None, None]
+        hybrid_only = make_preset("fig2", seed=0, row_blocks=5, include_hybrid=True)
+        assert [(m.method, m.row_blocks) for m in hybrid_only.methods] == [("rek", None), ("blockcd", None), ("hybrid", 5)]
+
+    @pytest.mark.parametrize(
+        "preset, blocks, message",
+        [("fig2", {"row_blocks": 5}, "no arm of preset 'fig2' takes row_blocks"),
+         ("fig4", {"col_blocks": 25}, "the arms of preset 'fig4' take different col_blocks: 10, 20, 40")],
+    )
+    def test_block_flag_no_arm_or_arms_of_several_counts_take(self, preset, blocks, message):
+        with pytest.raises(solvers.ConfigError, match=f"^{message}$"):
+            make_preset(preset, seed=0, **blocks)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
