@@ -50,6 +50,15 @@ def _bounded(kind, test, what: str):
     return parse
 
 
+def _read(reader, path):
+    """``reader(path)``; a file that cannot be opened exits with one line
+    naming it, not a traceback."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
+
+
 _COUNT = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 _NONNEGATIVE = _bounded(int, lambda v: v >= 0, "an integer >= 0")
 _TOL = _bounded(float, lambda v: v > 0, "a positive number")
@@ -92,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pave_check(args) -> int:
-    a = read_matrix(args.matrix)
+    a = _read(read_matrix, args.matrix)
     axis = ROWS if args.axis == "rows" else COLUMNS
     extent = a.shape[0] if axis == ROWS else a.shape[1]
     if args.blocks > extent:
@@ -103,7 +112,7 @@ def _cmd_pave_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    system = make_system(read_matrix(args.matrix), read_vector(args.rhs))
+    system = make_system(_read(read_matrix, args.matrix), _read(read_vector, args.rhs))
     setting = MethodSetting(args.method, row_blocks=args.row_blocks, col_blocks=args.col_blocks)
     prep = prepare_method(system, setting, args.seed)
     stop = StopRule(max_epochs=args.max_epochs, error_threshold=args.tol)

@@ -43,15 +43,17 @@ rows and columns drawn by squared norm are blocks of size one.  As
 ``z = b - a y``, with ``y`` the sum of the column steps' coefficients, the
 column side is ``blockcd``'s descent and the row side ``block``'s step (the
 extended Gauss-Seidel view of Ma, Needell & Ramdas, 2015).  :class:`Kernel`
-holds that update once: :meth:`Kernel.apply` runs an epoch of batched draws
-on ``x`` and ``z`` in place, and :meth:`Kernel.step` is the one pure step,
-with its indices drawn or pinned side by side, column side first.  Nothing
-writes into a system's arrays, a :class:`BlockPlan` or a kernel's operands,
-so independent runs can share them: :meth:`Kernel.build` factors every block
-of a fixed partition once and drops the plans, and :func:`run` takes such a
-kernel through :attr:`MethodConfig.kernel`, as
-:func:`~blockkaczmarz.harness.run_experiment` passes one per experiment arm
-to all of its trials.
+holds that update once: :meth:`Kernel.start` starts a run, whose epochs of
+batched draws update ``x`` and ``z`` in place (:meth:`Kernel.apply` is the
+first epoch of a new run), and :meth:`Kernel.step` is the one pure step,
+with its indices drawn or pinned side by side, column side first.  A run
+keeps its own state (``blockcd``: ``h`` and ``x`` in block order, across
+epochs); nothing writes into a system's arrays, a :class:`BlockPlan` or a
+kernel's operands, so independent runs can share them, even at once:
+:meth:`Kernel.build` factors every block of a fixed partition once and
+drops the plans, and :func:`run` takes such a kernel through
+:attr:`MethodConfig.kernel`, as :func:`~blockkaczmarz.harness.run_experiment`
+passes one per experiment arm to all of its trials.
 
 The single-row and single-column sides (``rk``, ``rek``) run a chunk of
 steps as one triangular solve, a single step as a chunk of one: a run of
@@ -236,6 +238,14 @@ def _clear_zero_columns(sub: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(sub.any(axis=0)[:, None], v, 0.0)
 
 
+class _Stateless:
+    """An engine whose epochs share no state: a run's epoch callable is its
+    ``__call__`` on the run's ``x`` and ``z``."""
+
+    def start(self, x, z):
+        return lambda indices: self(indices, x, z)
+
+
 class _PinvDescent:
     """Block coordinate descent on the least-squares objective, run on the
     block pseudoinverse images of the residual.
@@ -257,15 +267,11 @@ class _PinvDescent:
     most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a`` instead,
     it would grow by ``cond(A_k)^2`` and diverge on nearly collinear blocks.
 
-    Each call runs the steps ``indices[0]``: it gathers ``x`` into block
-    order and computes ``h = h_b - R x`` first, and scatters ``x`` back last,
-    so ``h`` drifts for one call at most.  The ``z`` passed in is not read:
-    when it is an array, it is set to ``z = b - a x`` last (an O(n d) gemv),
-    and when it is ``None``, no residual is formed and ``x`` is the same.  A
-    step is three calls: ``w = h[j]`` is a view, read by ``xp[j] += w`` and
-    by ``np.dot(w, C[j])`` before ``h`` is written.  ``C`` and
-    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory) are made by :meth:`build`,
-    which drops the plan.
+    :meth:`build` makes ``C``, its block rows as views, and
+    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory), and drops the plan; nothing
+    of a run is kept here.  :meth:`start` gives a run its own descent state
+    (:class:`_DescentRun`), which carries ``h`` and the block-ordered ``x``
+    from one epoch to the next.
     """
 
     def __init__(self, a, b, cols: BlockPlan):
@@ -297,22 +303,56 @@ class _PinvDescent:
         for j, r, lk, rk in zip(self._slices, ranks, left, right):
             self._c[j] = rk @ half[r]
             self._hb[j] = lk @ utb[r]
+        self._cv = [self._c[j] for j in self._slices]
 
-    def __call__(self, indices, x, z) -> None:
-        perm, c, slices, dot = self._perm, self._c, self._slices, np.dot
-        xp = x[perm]
-        h = self._hb - dot(xp, c)
+    def start(self, x, z) -> _DescentRun:
+        return _DescentRun(self, x, z)
+
+
+# Epochs between refreshes of a descent run's carried h from its iterate.
+_REFRESH = 10
+
+
+class _DescentRun:
+    """One run's state on a built :class:`_PinvDescent`, and its epoch
+    callable.
+
+    The state is the iterate in block order, :attr:`xp` (gathered from ``x``
+    once), the carried :attr:`h`, and per-block views of both, so a step is
+    three calls on prebuilt views: ``w = hv[k]`` is read by ``xv[k] += w``
+    and by ``np.dot(w, C[k])`` before ``h`` is written.  ``h`` is set to
+    ``h_b - xp C`` (a d x d gemv) at the first epoch and then every
+    ``_REFRESH`` epochs; in between it drifts by rounding, at most
+    ``cond(A_k)`` per step.  Each epoch ends by scattering ``xp`` into ``x``
+    (O(d)).  The ``z`` passed in is not read: when it is an array, it is set
+    to ``b - a x`` at each epoch's end (an O(n d) gemv), and when it is
+    ``None``, no residual is formed and ``x`` is the same.
+    """
+
+    def __init__(self, descent: _PinvDescent, x, z):
+        self._descent, self._x, self._z = descent, x, z
+        self.xp = x[descent._perm]
+        self.h = np.empty(self.xp.size)
+        self._hv = [self.h[j] for j in descent._slices]
+        self._xv = [self.xp[j] for j in descent._slices]
+        self._epochs = 0
+
+    def __call__(self, indices) -> None:
+        d, h, xp, hv, xv = self._descent, self.h, self.xp, self._hv, self._xv
+        cv, dot, subtract = d._cv, np.dot, np.subtract
+        if self._epochs % _REFRESH == 0:
+            subtract(d._hb, dot(xp, d._c), out=h)
+        self._epochs += 1
         for k in indices[0]:
-            j = slices[k]
-            w = h[j]
-            xp[j] += w
-            h -= dot(w, c[j])
-        x[perm] = xp
-        if z is not None:
-            np.subtract(self._b, dot(self._a, x), out=z)
+            w = hv[k]
+            xv[k] += w
+            subtract(h, dot(w, cv[k]), out=h)
+        self._x[d._perm] = xp
+        if self._z is not None:
+            subtract(d._b, dot(d._a, self._x), out=self._z)
 
 
-class _BasesDescent:
+class _BasesDescent(_Stateless):
     """``double`` and ``hybrid``: per step, :class:`_PinvDescent`'s step on
     ``B = U``, the orthonormal bases ``U_l`` of the column blocks (of the
     single columns, ``a_j / |a_j|``, when ``cols`` is ``None``), then the
@@ -368,7 +408,7 @@ def _slices(sizes) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
-class _RowBlocks:
+class _RowBlocks(_Stateless):
     """Project ``x`` onto the solution set of row block ``k`` of ``a x = b``:
     the row side of ``block``, ``double`` and ``hybrid``.
 
@@ -420,7 +460,7 @@ _CHUNK = 32
 _TRI = np.tri(_CHUNK)
 
 
-class _NormChunks:
+class _NormChunks(_Stateless):
     """``rk`` and ``rek`` steps run a chunk at a time; a single step is a
     chunk of one.
 
@@ -515,8 +555,12 @@ class Kernel:
     :meth:`MethodConfig.validate`.
 
     The engine runs the drawn steps on ``x`` and ``z``; each has
-    ``build()`` and ``__call__(indices, x, z)``.  ``rk`` and ``rek`` (single
-    rows and columns only) run chunks of steps as triangular solves
+    ``build()`` and ``start(x, z)``, which returns a run's epoch callable.
+    The kernel holds no run's state, so runs can share it, even at once:
+    only ``blockcd``'s runs keep state between epochs
+    (:class:`_DescentRun`), the others call their
+    ``__call__(indices, x, z)``.  ``rk`` and ``rek`` (single rows and
+    columns only) run chunks of steps as triangular solves
     (:class:`_NormChunks`), a single step as a chunk of one.  ``blockcd``
     runs the descent of :class:`_PinvDescent`, ``block`` the folded step of
     :class:`_RowBlocks`, and ``double`` and ``hybrid`` the descent on the
@@ -563,10 +607,11 @@ class Kernel:
     def build(self) -> Kernel:
         """Build the operands of every block, and drop the plans.
 
-        The first :meth:`apply` calls it when nobody has; later calls do
+        The first :meth:`start` calls it when nobody has; later calls do
         nothing.  What is left is only what the steps read (for ``blockcd``:
-        the column order, its block slices, ``C`` and ``h_b``), so one kernel
-        can serve many runs at the memory of one.  Returns the kernel.
+        the column order, its block slices, ``C``, its block rows as views,
+        and ``h_b``), so one kernel can serve many runs at the memory of one.
+        Returns the kernel.
         """
         if not self._built:
             self._engine.build()
@@ -602,10 +647,22 @@ class Kernel:
         ks = [[p.draw(rng) if w else int(rng.integers(p.n_blocks)) for p, w in zip(picks, weighted)] for _ in range(steps)]
         return [list(k) for k in zip(*ks)]
 
+    def start(self, x: np.ndarray, z: np.ndarray | None):
+        """A run on ``x`` and ``z``: a callable that runs the steps
+        ``indices`` (as from :meth:`draw`) on them in place, one epoch per
+        call.
+
+        The run owns what it carries between its epochs (``blockcd``: ``h``
+        and ``x`` in block order, ``h`` refreshed every ``_REFRESH`` epochs,
+        and ``x`` written at each epoch's end but never read back), so ``x``
+        and ``z`` change only through the run's calls.
+        """
+        return self.build()._engine.start(x, z)
+
     def apply(self, x: np.ndarray, z: np.ndarray | None, indices: list[list[int]]) -> None:
-        """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z`` in place."""
-        self.build()
-        self._engine(indices, x, z)
+        """Run the steps ``indices`` (as from :meth:`draw`) on ``x`` and ``z``
+        in place, as the first epoch of a new run."""
+        self.start(x, z)(indices)
 
     def step(self, state: SolverState, rng: np.random.Generator, *pinned) -> SolverState:
         """One pure step from ``state``: the step :meth:`apply` takes, on copies.
@@ -704,9 +761,11 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         ``cpu_seconds`` accumulates process CPU time spent inside solver
         iterations only: the kernel's operands (block factors and
         pseudoinverses, ``blockcd``'s ``C`` and ``h_b``, ``rek``'s ``a^T`` and
-        ``a^T a``) are built by :meth:`Kernel.build` before the first epoch,
-        and only when ``stop.max_epochs >= 1``; telemetry and stopping checks
-        are excluded too.
+        ``a^T a``) are built by :meth:`Kernel.build`, and the run's state
+        started by :meth:`Kernel.start`, before the first epoch, and only
+        when ``stop.max_epochs >= 1``; telemetry and stopping checks are
+        excluded too.  Every epoch runs on that one started state, so
+        ``blockcd`` carries ``h`` and its block-ordered ``x`` across epochs.
         ``residual_l2`` is ``norm(b - a x)``.  When the system has
         ``s_vt``, it is read off ``e = x - x_ls`` as
         ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, a d x d gemv instead
@@ -773,10 +832,10 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         trace.converged = True
     else:
         if stop.max_epochs >= 1:
-            kernel.build()  # untimed: cpu_seconds counts iterations only
+            run_epoch = kernel.start(x, z)  # untimed: cpu_seconds counts iterations only
         for epoch in range(1, stop.max_epochs + 1):
             t0 = time.process_time()
-            kernel.apply(x, z, kernel.draw(rng, iters_per_epoch))
+            run_epoch(kernel.draw(rng, iters_per_epoch))
             solver_cpu += time.process_time() - t0
             metric = record(epoch)
             if error_based:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from blockkaczmarz.paving import COLUMNS, random_partition
 from blockkaczmarz.solvers import (
     _CHUNK,
+    _REFRESH,
     BLOCK,
     BLOCK_CD,
     DOUBLE,
@@ -140,6 +141,28 @@ def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
         assert np.linalg.norm(x - x_ref) <= tol * (np.linalg.norm(x_ref) + np.linalg.norm(b))
         assert np.linalg.norm(z - z_ref) <= tol * np.linalg.norm(b)
         assert x[zero] == 0.0
+
+
+@pytest.mark.parametrize("strategy", [
+    problems().map(lambda p: (p[0].a, p[0].b, p[2], p[3])),
+    rank_deficient_columns().map(lambda p: (p[0], p[1], p[2], p[4])),
+], ids=["problems", "rank_deficient_columns"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_blockcd_carried_h_stays_near_a_fresh_one(strategy, data):
+    # A run carries h across epochs and recomputes it from its iterate only
+    # every _REFRESH epochs; in between it may drift by rounding, which grows
+    # with the worst block's condition number over its numerical rank.
+    a, b, plan, rng = data.draw(strategy)
+    facts = [f for f in plan.factorizations if f.rank]
+    tol = 1e-12 * max(f.singular_values[0] / f.singular_values[f.rank - 1] for f in facts)
+    kernel = Kernel(BLOCK_CD, a, b, cols=plan).build()
+    descent = kernel._engine
+    run_epoch = kernel.start(np.zeros(a.shape[1]), None)
+    for _ in range(2 * _REFRESH + 3):
+        run_epoch(kernel.draw(rng, 2 * plan.partition.n_blocks))
+        fresh = descent._hb - run_epoch.xp @ descent._c
+        assert np.linalg.norm(run_epoch.h - fresh) <= tol * np.linalg.norm(descent._hb)
 
 
 @st.composite
@@ -398,3 +421,48 @@ def test_built_kernel_operands_stay_unchanged(method, problem):
     assert len(after) == len(held) and all(v is w for v, w in zip(after, held))
     for v, c in zip(held, before):
         assert np.array_equal(v, c)
+
+
+def epoch_iterates(kernel, system, method, seeds, epochs, interleaved):
+    """Per seed, ``x`` and ``z`` after each of ``epochs`` epochs of one run
+    started on ``kernel``: every run's epochs in turn when ``interleaved``,
+    else each run to its end before the next starts."""
+    runs = [(initial_state(system, method), np.random.default_rng(seed)) for seed in seeds]
+    out = [[] for _ in seeds]
+
+    def epoch(i, run_epoch):
+        state, g = runs[i]
+        run_epoch(kernel.draw(g, system.n_rows))
+        out[i].append((state.x.copy(), None if state.z is None else state.z.copy()))
+
+    if interleaved:
+        started = [kernel.start(state.x, state.z) for state, _ in runs]
+        for _ in range(epochs):
+            for i, run_epoch in enumerate(started):
+                epoch(i, run_epoch)
+    else:
+        for i, (state, _) in enumerate(runs):
+            run_epoch = kernel.start(state.x, state.z)
+            for _ in range(epochs):
+                epoch(i, run_epoch)
+    return out
+
+
+@pytest.mark.parametrize("method", METHODS + (HYBRID,))
+@PROPERTY_SETTINGS
+@given(shared_kernel_problems())
+def test_interleaved_runs_on_one_kernel_match_runs_in_turn(method, problem):
+    # Two runs started on one built kernel are alive at once: if any run's
+    # state (blockcd's carried h and block-ordered x) lived on the kernel,
+    # interleaving their epochs would mix them.
+    system, rows, cols, seeds = problem
+    rows = make_block_plan(system.a, rows) if method in (BLOCK, DOUBLE, HYBRID) else None
+    cols = make_block_plan(system.a, cols) if method in (DOUBLE, BLOCK_CD) else None
+    kernel = Kernel(method, system.a, system.b, rows=rows, cols=cols).build()
+    epochs = _REFRESH + 2
+    in_turn = epoch_iterates(kernel, system, method, seeds, epochs, interleaved=False)
+    interleaved = epoch_iterates(kernel, system, method, seeds, epochs, interleaved=True)
+    for ref, got in zip(in_turn, interleaved):
+        for (x_ref, z_ref), (x, z) in zip(ref, got):
+            assert np.array_equal(x, x_ref)
+            assert (z is None and z_ref is None) or np.array_equal(z, z_ref)
