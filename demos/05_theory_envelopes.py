@@ -13,7 +13,9 @@ a graded-row version inflates the certified rate with the dynamic range.
 import numpy as np
 
 from blockkaczmarz import (
+    COLUMNS,
     DOUBLE,
+    ROWS,
     Kernel,
     double_block_error_bound,
     dynamic_range,
@@ -37,8 +39,11 @@ def main():
     system = gen_inconsistent(60, 20, 0.5, np.random.default_rng(11))
     row_part = random_partition(60, 6, np.random.default_rng(12))
     col_part = random_partition(20, 5, np.random.default_rng(13), axis="columns")
-    row_paving = paving_bounds(system.a, row_part)
-    col_paving = paving_bounds(system.a, col_part)
+    # the kernel factors every block once and keeps its singular values
+    kernel = Kernel(DOUBLE, system.a, system.b, rows=make_block_plan(system.a, row_part),
+                    cols=make_block_plan(system.a, col_part))
+    row_paving = paving_bounds(system.a, row_part, kernel.singular_values[ROWS])
+    col_paving = paving_bounds(system.a, col_part, kernel.singular_values[COLUMNS])
     consts = rate_constants(system, row_paving, col_paving)
 
     print("measured pavings on the 60x20 system:")
@@ -46,9 +51,6 @@ def main():
     print(f"  columns p={col_paving.p} alpha={col_paving.alpha:.3f} beta={col_paving.beta:.3f}")
     print(f"  per-step rates: gamma_row={consts.gamma_row:.4f} gamma_col={consts.gamma_col:.4f}")
 
-    row_plan = make_block_plan(system.a, row_part)
-    col_plan = make_block_plan(system.a, col_part)
-    kernel = Kernel(DOUBLE, system.a, system.b, rows=row_plan, cols=col_plan)
     x_sq = np.zeros((RUNS, STEPS + 1))
     z_sq = np.zeros((RUNS, STEPS + 1))
     for r in range(RUNS):

@@ -53,7 +53,6 @@ from .solvers import (
 from .theory import (
     RateConstants,
     block_cd_error_bound,
-    block_cd_image_bound,
     block_convergence_horizon,
     contraction_rate,
     double_block_error_bound,

@@ -50,13 +50,15 @@ def _bounded(kind, test, what: str):
     return parse
 
 
-def _read(reader, path):
-    """``reader(path)``; a file that cannot be opened exits with one line
-    naming it, not a traceback."""
+def _at(path, action):
+    """``action(path)``; a file or directory that cannot be opened, made or
+    read (an ``OSError`` or ``ValueError``) exits 1 with one line naming it,
+    not a traceback."""
     try:
-        return reader(path)
-    except OSError as exc:
-        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
+        return action(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise SystemExit(reason if str(path) in reason else f"{path}: {reason}") from None
 
 
 _COUNT = _bounded(int, lambda v: v >= 1, "an integer >= 1")
@@ -101,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pave_check(args) -> int:
-    a = _read(read_matrix, args.matrix)
+    a = _at(args.matrix, read_matrix)
     axis = ROWS if args.axis == "rows" else COLUMNS
     extent = a.shape[0] if axis == ROWS else a.shape[1]
     if args.blocks > extent:
@@ -112,7 +114,8 @@ def _cmd_pave_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    system = make_system(_read(read_matrix, args.matrix), _read(read_vector, args.rhs))
+    a, b = _at(args.matrix, read_matrix), _at(args.rhs, read_vector)
+    system = _at(f"{args.matrix}, {args.rhs}", lambda _: make_system(a, b))
     setting = MethodSetting(args.method, row_blocks=args.row_blocks, col_blocks=args.col_blocks)
     prep = prepare_method(system, setting, args.seed)
     stop = StopRule(max_epochs=args.max_epochs, error_threshold=args.tol)
@@ -126,7 +129,7 @@ def _cmd_solve(args) -> int:
 def _cmd_experiment(args) -> int:
     out = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR, ".")
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _at(out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
     preset = make_preset(
         args.preset,
         seed=args.seed,

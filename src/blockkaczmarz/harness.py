@@ -166,8 +166,9 @@ def derive_seed(master: int, label: str, index: int) -> int:
 @dataclass
 class PreparedMethod:
     """A method arm bound to a concrete system and error metric: ``config``
-    holds the method and the partitions every trial of the arm runs on, with
-    no seed or kernel yet."""
+    holds the method, the partitions every trial of the arm runs on, and the
+    arm's kernel on ``solve_system`` (factored, not yet built), with no seed
+    yet."""
 
     setting: MethodSetting
     solve_system: LinearSystem
@@ -178,14 +179,16 @@ class PreparedMethod:
 
 def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: int) -> PreparedMethod:
     """Bind ``setting`` to ``system``: the one place an arm's block counts
-    become partitions.
+    become partitions, and its partitions a kernel.
 
     :class:`ConfigError` for an unknown method, a block count missing for a
     side the method takes, a count for a side it does not take, and a count
     above the system's rows or columns.  The partitions come from one stream,
     ``derive_seed(master_seed, setting.name + "#partition", 0)``, row side
     first.  With ``standardize_columns`` the arm solves the column-standardized
-    system and measures its error on the unscaled solution.
+    system and measures its error on the unscaled solution.  The kernel,
+    ``Kernel.for_config(solve_system, config)``, factors every block once, and
+    owns the blocks' singular values that :func:`compute_envelopes` reads.
     """
     takes_rows, takes_cols = _partitions_taken(setting.method)
     solve_system = system
@@ -209,6 +212,7 @@ def prepare_method(system: LinearSystem, setting: MethodSetting, master_seed: in
             raise ConfigError(f"arm {setting.name!r} asks for {count} {axis[:-1]} blocks of the system's {extent} {axis}")
         partitions.append(random_partition(extent, count, prng, axis) if taken else None)
     config = MethodConfig(setting.method, *partitions)
+    config = replace(config, kernel=Kernel.for_config(solve_system, config))
     return PreparedMethod(setting, solve_system, config, error_fn, system)
 
 
@@ -235,13 +239,16 @@ def run_experiment(
     :func:`derive_seed`.  The returned arms are what
     :func:`compute_envelopes` evaluates, so the system is generated once.
 
-    Each arm factors its partitions once: one :class:`~blockkaczmarz.solvers.Kernel`
-    per arm, built when the arm is prepared, rides on every trial's
-    ``MethodConfig.kernel``.  The trials' iterates are those of a fresh
-    kernel per trial, and their ``cpu_seconds`` count iterations only, so no
-    trial pays for the build.  The arm is built whatever ``stop`` says, even
-    when ``stop.max_epochs`` is 0.  An arm whose method or partitions do not
-    fit the system raises :class:`~blockkaczmarz.solvers.ConfigError`.
+    Each arm factors its partitions once: the :class:`~blockkaczmarz.solvers.Kernel`
+    that :func:`prepare_method` made for the arm is built here, before the
+    first trial, and rides on every trial's ``MethodConfig.kernel``.  The
+    trials' iterates are those of a fresh kernel per trial, and their
+    ``cpu_seconds`` count iterations only, so no trial pays for the build.
+    The arm is built whatever ``stop`` says, even when ``stop.max_epochs`` is
+    0.  The returned arms keep their built kernels, and so every arm's
+    operands, until the experiment is dropped.  An arm whose method or
+    partitions do not fit the system raises
+    :class:`~blockkaczmarz.solvers.ConfigError`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -251,9 +258,9 @@ def run_experiment(
     for setting in methods:
         prep = prepare_method(system, setting, spec.seed)
         arms.append(prep)
-        kernel = Kernel.for_config(prep.solve_system, prep.config).build()
+        prep.config.kernel.build()
         for trial in range(trials):
-            config = replace(prep.config, seed=derive_seed(spec.seed, setting.name, trial), kernel=kernel)
+            config = replace(prep.config, seed=derive_seed(spec.seed, setting.name, trial))
             trace = run(prep.solve_system, config, stop, error_fn=prep.error_fn)
             records.append(ExperimentRecord(method=setting.name, trial=trial, trace=trace))
     return Experiment(system=system, arms=arms, records=records)
@@ -363,12 +370,12 @@ def compute_envelopes(arms: list[PreparedMethod], max_epochs: dict[str, int]) ->
     method has no evaluable rate (its rate constant is only known up to an
     unspecified absolute constant), so only its plateau term is emitted.
     Methods without a bound, and arms missing from ``max_epochs``, are
-    skipped.
+    skipped.  The pavings of ``double`` and ``blockcd`` are measured on the
+    singular values the arm's kernel holds, so no block is factored again.
     """
     rows: list[EnvelopeRow] = []
     for prep in arms:
-        setting = prep.setting
-        solve = prep.solve_system
+        setting, solve, kernel = prep.setting, prep.solve_system, prep.config.kernel
         n_epochs = max_epochs.get(setting.name)
         if n_epochs is None:
             continue
@@ -397,14 +404,14 @@ def compute_envelopes(arms: list[PreparedMethod], max_epochs: dict[str, int]) ->
             for ep, it in grid:
                 rows.append(EnvelopeRow(setting.name, ep, it, "error_l2_sq", plateau))
         elif setting.method == DOUBLE:
-            row_paving = paving_bounds(solve.a, prep.config.row_partition)
-            col_paving = paving_bounds(solve.a, prep.config.col_partition)
+            row_paving = paving_bounds(solve.a, prep.config.row_partition, kernel.singular_values[ROWS])
+            col_paving = paving_bounds(solve.a, prep.config.col_partition, kernel.singular_values[COLUMNS])
             consts = theory.rate_constants(solve, row_paving, col_paving)
             for ep, it in grid:
                 val = theory.double_block_error_bound(it, consts, x0_err_sq)
                 rows.append(EnvelopeRow(setting.name, ep, it, "error_l2_sq", val))
         elif setting.method == BLOCK_CD:
-            col_paving = paving_bounds(solve.a, prep.config.col_partition)
+            col_paving = paving_bounds(solve.a, prep.config.col_partition, kernel.singular_values[COLUMNS])
             gamma_col = theory.contraction_rate(solve.spectral.sigma_min_nonzero**2, col_paving)
             base = prep.base_system
             kappa = base.spectral.condition

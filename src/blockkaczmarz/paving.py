@@ -107,22 +107,25 @@ def block_submatrices(a: np.ndarray, partition: Partition):
         yield np.ascontiguousarray(a[idx] if partition.axis == ROWS else a[:, idx])
 
 
-def paving_bounds(a: np.ndarray, partition: Partition) -> PavingParams:
+def paving_bounds(a: np.ndarray, partition: Partition, singular_values: list[np.ndarray] | None = None) -> PavingParams:
     """Measure the paving parameters of ``partition`` on ``a``.
 
     For a row partition, each block contributes the extreme eigenvalues of
     ``B B^T`` where ``B`` is the block's row submatrix; a column partition is
     treated as a row partition of ``a.T``.  Eigenvalues are obtained as squared
     singular values of the block, padded with zeros when the block Gram matrix
-    is rank-deficient by shape.
+    is rank-deficient by shape.  ``singular_values``, one nonincreasing array
+    per block as a :class:`~blockkaczmarz.solvers.Kernel`'s
+    ``singular_values`` holds them, are those already measured on ``a``'s
+    blocks: given, ``a`` is not read and no SVD is taken.
     """
+    if singular_values is None:
+        singular_values = [np.linalg.svd(block, compute_uv=False) for block in block_submatrices(a, partition)]
     alpha = np.inf
     beta = 0.0
-    for idx, block in zip(partition.blocks, block_submatrices(a, partition)):
-        gram_size = len(idx)
-        sv = np.linalg.svd(block, compute_uv=False)
+    for idx, sv in zip(partition.blocks, singular_values, strict=True):
         eigs = sv**2
-        smallest = 0.0 if gram_size > eigs.size else float(eigs[-1])
+        smallest = 0.0 if len(idx) > eigs.size else float(eigs[-1])
         alpha = min(alpha, smallest)
         beta = max(beta, float(eigs[0]))
     return PavingParams(p=partition.n_blocks, alpha=float(alpha), beta=float(beta))

@@ -52,8 +52,8 @@ epochs); nothing writes into a system's arrays, a :class:`BlockPlan` or a
 kernel's operands, so independent runs can share them, even at once:
 :meth:`Kernel.build` factors every block of a fixed partition once and
 drops the plans, and :func:`run` takes such a kernel through
-:attr:`MethodConfig.kernel`, as :func:`~blockkaczmarz.harness.run_experiment`
-passes one per experiment arm to all of its trials.
+:attr:`MethodConfig.kernel`, as :func:`~blockkaczmarz.harness.prepare_method`
+makes one per experiment arm for all of its trials.
 
 The single-row and single-column sides (``rk``, ``rek``) run a chunk of
 steps as one triangular solve, a single step as a chunk of one: a run of
@@ -570,7 +570,12 @@ class Kernel:
     every block, once, before the first step.
 
     ``method``, ``a``, ``b`` and the two partitions (``None`` for a side
-    drawn by squared norm) record what the kernel was built for.
+    drawn by squared norm) record what the kernel was built for.  The kernel
+    owns its blocks' spectra: ``singular_values`` maps the axis of each of
+    its partitions to each block's singular values, as :func:`svd_factor`
+    gave them and not cut to rank (O(d) floats, kept after :meth:`build`
+    drops the plans), for the envelopes' pavings
+    (:func:`~blockkaczmarz.paving.paving_bounds`).
     """
 
     def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
@@ -583,6 +588,7 @@ class Kernel:
         self.method, self.a, self.b = method, a, b
         self.row_partition = None if rows is None else rows.partition
         self.col_partition = None if cols is None else cols.partition
+        self.singular_values = {p.partition.axis: [f.singular_values for f in p.factorizations] for p in (rows, cols) if p}
         if row_side == _NORM:
             self._engine = _NormChunks(a, b, columns=col_side is not None)
         elif row_side is None:

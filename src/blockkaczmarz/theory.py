@@ -207,11 +207,6 @@ def transported_paving_rate(a: np.ndarray, delta: float, std_paving: PavingParam
     return TransportedPaving(paving=paving, gamma=contraction_rate(summary.sigma_min_nonzero**2, paving))
 
 
-def block_cd_image_bound(t: int, gamma_col: float, b_range_norm_sq: float) -> float:
-    """Envelope for ``E norm(a @ (x_ls - x_t))**2`` of the column-block solver."""
-    return z_error_envelope(t, gamma_col, b_range_norm_sq)
-
-
 def block_cd_error_bound(t: int, gamma_col: float, condition: float, x_ls_norm_sq: float) -> float:
     """Full-column-rank envelope for ``E norm(x_ls - x_t)**2`` of the column-block solver.
 

@@ -273,6 +273,30 @@ def test_missing_file_exits_with_one_line_naming_it(system_files, tmp_path, argv
         main([arg.format(a=mpath, b=bpath, missing=missing) for arg in argv])
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--matrix", "{zero}", "--rhs", "{b}", "--method", "rk"], "{zero}"),
+    (["solve", "--matrix", "{nan}", "--rhs", "{b}", "--method", "rk"], "{nan}"),
+    (["solve", "--matrix", "{a}", "--rhs", "{short}", "--method", "rk"], "{short}"),
+    (["solve", "--matrix", "{a}", "--rhs", "{a}", "--method", "rk"], "{a}"),
+    (["pave-check", "{nan}", "--blocks", "2"], "{nan}"),
+    (["experiment", "--preset", "fig1", "--trials", "1", "--max-epochs", "0", "--out", "{file}/out"], "{file}/out"),
+], ids=["solve-zero-matrix", "solve-nan-matrix", "solve-short-rhs", "solve-matrix-as-rhs", "pave-check-nan-matrix",
+        "experiment-out-under-a-file"])
+def test_unusable_input_or_output_exits_with_one_line_naming_it(system_files, tmp_path, argv, named):
+    # a string SystemExit code exits 1 with that one line on stderr
+    _, b, mpath, bpath = system_files
+    paths = {"a": mpath, "b": bpath, **{name: str(tmp_path / f"{name}.txt") for name in ("zero", "nan", "short", "file")}}
+    write_matrix(np.zeros((24, 6)), paths["zero"])
+    (tmp_path / "nan.txt").write_text("2 2\n1 nan\n0 1\n")
+    write_vector(b[:-1], paths["short"])
+    (tmp_path / "file.txt").write_text("a regular file\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert named.format(**paths) in message
+
+
 def test_seed_derivation_is_pinned():
     # solve and experiment derive every run's stream through derive_seed, so a
     # change to the derivation moves every recorded trace

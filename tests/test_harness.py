@@ -245,11 +245,12 @@ class TestRunExperiment:
 
 
 def fresh_kernel_replay(experiment, trials, stop):
-    """Every trial of ``experiment`` again, each through a kernel of its own."""
+    """Every trial of ``experiment`` again, each through a kernel of its own
+    (``kernel=None``: the arm's config carries the arm's shared kernel)."""
     traces = []
     for prep in experiment.arms:
         for trial in range(trials):
-            config = replace(prep.config, seed=derive_seed(0, prep.setting.name, trial))
+            config = replace(prep.config, seed=derive_seed(0, prep.setting.name, trial), kernel=None)
             traces.append(run(prep.solve_system, config, stop, error_fn=prep.error_fn))
     return traces
 
@@ -469,6 +470,27 @@ class TestEnvelopes:
         rows = compute_envelopes(experiment.arms, grid)
         assert {r.method for r in rows} == set(grid)
         assert rows == envelopes_from_spec(spec, methods, grid)
+
+    @pytest.mark.parametrize("preset, include_hybrid, paved_sides", [("fig3a", True, 2), ("fig4", False, 3)])
+    def test_envelopes_read_the_kernel_spectra_and_take_no_svd(self, preset, include_hybrid, paved_sides, monkeypatch):
+        # double paves its rows and columns, each blockcd arm its columns, all
+        # on the singular values the arm's kernel holds: no block is factored
+        # again, and rek, block and hybrid pave nothing
+        p = make_preset(preset, 0, max_epochs=0, include_hybrid=include_hybrid)
+        arms = run_experiment(p.spec, list(p.methods), 1, p.stop).arms
+        svds, pavings = [], []
+
+        def counting(real, calls):
+            return lambda *args, **kwargs: calls.append(real.__name__) or real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, svds))
+        for module in (linalg, harness, solvers):
+            monkeypatch.setattr(module, "svd_factor", counting(linalg.svd_factor, svds))
+        monkeypatch.setattr(harness, "paving_bounds", counting(harness.paving_bounds, pavings))
+        rows = compute_envelopes(arms, {arm.setting.name: 3 for arm in arms})
+        assert svds == []
+        assert len(pavings) == paved_sides
+        assert {r.method for r in rows} == {m.name for m in p.methods if m.method != "hybrid"}
 
     def test_arms_missing_from_the_grid_are_skipped(self):
         arms = prepared_arms(tiny_spec(), [MethodSetting("rek"), MethodSetting("rk")])

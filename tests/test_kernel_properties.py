@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockkaczmarz.paving import COLUMNS, random_partition
+from blockkaczmarz.paving import COLUMNS, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
     _CHUNK,
     _REFRESH,
@@ -466,3 +466,26 @@ def test_interleaved_runs_on_one_kernel_match_runs_in_turn(method, problem):
         for (x_ref, z_ref), (x, z) in zip(ref, got):
             assert np.array_equal(x, x_ref)
             assert (z is None and z_ref is None) or np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("strategy", [
+    problems().map(lambda p: Kernel(DOUBLE, p[0].a, p[0].b, rows=p[1], cols=p[2])),
+    rank_deficient_columns().map(lambda p: Kernel(BLOCK_CD, p[0], p[1], cols=p[2])),
+], ids=["problems", "rank_deficient_columns"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_paving_bounds_on_the_kernel_spectra_match_a_fresh_measure(strategy, data):
+    # A built kernel keeps each block's singular values; the pavings measured
+    # on them take no SVD and must match pavings measured afresh.  Row blocks
+    # of more rows than columns pad alpha with 0, and blocks with zero or
+    # duplicated columns have a rounding-sized alpha, which both SVDs still
+    # agree on to 1e-12 relative: they share the block's bidiagonal form.
+    kernel = data.draw(strategy).build()
+    parts = [part for part in (kernel.row_partition, kernel.col_partition) if part is not None]
+    assert sorted(kernel.singular_values) == sorted(part.axis for part in parts)
+    for part in parts:
+        given_ = paving_bounds(kernel.a, part, singular_values=kernel.singular_values[part.axis])
+        fresh = paving_bounds(kernel.a, part)
+        assert given_.p == fresh.p
+        assert abs(given_.beta - fresh.beta) <= 1e-12 * fresh.beta
+        assert abs(given_.alpha - fresh.alpha) <= 1e-12 * fresh.alpha

@@ -21,7 +21,6 @@ from blockkaczmarz.systems import make_system
 from blockkaczmarz.theory import (
     RateConstants,
     block_cd_error_bound,
-    block_cd_image_bound,
     block_convergence_horizon,
     contraction_rate,
     double_block_error_bound,
@@ -266,12 +265,6 @@ class TestStandardizedAndTransportedRates:
 
 
 class TestBlockCdBounds:
-    def test_image_bound_t_zero(self):
-        assert block_cd_image_bound(0, 0.9, 7.0) == 7.0
-
-    def test_zero_rate(self):
-        assert block_cd_image_bound(3, 0.0, 7.0) == 0.0
-
     def test_error_bound_reevaluation(self, rng):
         for _ in range(15):
             t = int(rng.integers(0, 60))
@@ -323,4 +316,4 @@ class TestEnvelopesVsEmpirics:
                 img_sq[r, k] = np.sum((sys_.a @ (sys_.x_ls - state.x)) ** 2)
         mean = img_sq.mean(axis=0)
         for t in range(1, steps + 1):
-            assert mean[t] <= block_cd_image_bound(t, gamma_col, b_range_sq) * 1.25
+            assert mean[t] <= z_error_envelope(t, gamma_col, b_range_sq) * 1.25
