@@ -50,13 +50,14 @@ def _bounded(kind, test, what: str):
     return parse
 
 
-def _at(path, action):
-    """``action(path)``; a file or directory that cannot be opened, made or
-    read (an ``OSError`` or ``ValueError``) exits 1 with one line naming it,
-    not a traceback."""
+def _at(path, action, errors=(OSError, ValueError)):
+    """``action(path)``; a file or directory that cannot be opened, made,
+    read or written (one of ``errors``) exits 1 with one line naming it, not
+    a traceback.  Writers pass ``errors=OSError``, so a ``ValueError`` from a
+    bug in what they write still shows its traceback."""
     try:
         return action(path)
-    except (OSError, ValueError) as exc:
+    except errors as exc:
         reason = getattr(exc, "strerror", None) or str(exc)
         raise SystemExit(reason if str(path) in reason else f"{path}: {reason}") from None
 
@@ -121,7 +122,8 @@ def _cmd_solve(args) -> int:
     stop = StopRule(max_epochs=args.max_epochs, error_threshold=args.tol)
     trace = run(system, replace(prep.config, seed=derive_seed(args.seed, args.method, 0)), stop)
     if args.trace:
-        write_csv([ExperimentRecord(method=args.method, trial=0, trace=trace)], args.trace)
+        records = [ExperimentRecord(method=args.method, trial=0, trace=trace)]
+        _at(args.trace, lambda path: write_csv(records, path), OSError)
     print(f"final_error={trace.final_error:.17g} epochs={trace.final_epoch}")
     return 0
 
@@ -141,13 +143,14 @@ def _cmd_experiment(args) -> int:
     )
     experiment = run_experiment(preset.spec, list(preset.methods), args.trials, preset.stop)
     bands = aggregate_bands(experiment.records)
-    write_csv(experiment.records, out_dir / "trace.csv")
-    write_csv(bands, out_dir / "bands.csv")
-    write_svg_plot(bands, out_dir / "bands_epoch.svg", x_axis="epoch", title=f"{args.preset}: error vs epochs")
-    write_svg_plot(bands, out_dir / "bands_cpu.svg", x_axis="cpu_seconds", title=f"{args.preset}: error vs CPU time")
+    _at(out_dir / "trace.csv", lambda path: write_csv(experiment.records, path), OSError)
+    _at(out_dir / "bands.csv", lambda path: write_csv(bands, path), OSError)
+    for name, x_axis, what in (("bands_epoch.svg", "epoch", "epochs"), ("bands_cpu.svg", "cpu_seconds", "CPU time")):
+        title = f"{args.preset}: error vs {what}"
+        _at(out_dir / name, lambda path: write_svg_plot(bands, path, x_axis=x_axis, title=title), OSError)
     grid = {name: int(bands[name].epochs.max()) for name in bands}
     envelopes = compute_envelopes(experiment.arms, grid)
-    write_envelopes_csv(envelopes, out_dir / "envelopes.csv")
+    _at(out_dir / "envelopes.csv", lambda path: write_envelopes_csv(envelopes, path), OSError)
     for name in bands:
         b = bands[name]
         print(f"{name}: median_final_error={b.median[-1]:.6g} epochs={int(b.epochs[-1])}")

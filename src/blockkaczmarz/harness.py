@@ -67,7 +67,8 @@ def _planted_inconsistent(a: np.ndarray, x: np.ndarray, norm: float, rng: np.ran
         e_norm = np.linalg.norm(e)
         if e_norm > 1e-12:
             break
-    return attach_oracle(make_system(a, a @ x + e * (norm / e_norm), with_oracle=False), fact)
+    b = a @ x + e * (norm / e_norm)
+    return attach_oracle(make_system(a, b, with_oracle=False), fact, b)
 
 
 def gen_gaussian_rowstd(n: int, d: int, rng: np.random.Generator) -> LinearSystem:

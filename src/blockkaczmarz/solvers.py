@@ -76,7 +76,7 @@ import numpy as np
 
 from .linalg import SvdFactorization, as_vector, svd_factor
 from .paving import COLUMNS, ROWS, Partition, block_submatrices
-from .systems import LinearSystem
+from .systems import LinearSystem, reduced_factor
 
 RK = "rk"
 REK = "rek"
@@ -255,27 +255,37 @@ class _PinvDescent:
     block's coordinates of ``y`` (the block's rank cutoff kept), which
     removes ``B_k w`` from ``z``.  So a step needs only
     ``h = [pinv(B_l) z]_l``, stacked over all blocks, which it updates by
-    ``R[:, j] w`` with ``R = [pinv(B_l) B]_l``.  With the coordinates in
-    block order, so that block ``k`` is the slice ``j``, and ``C = R^T``, the
+    ``M[:, j] w`` with ``M = [pinv(B_l) B]_l``.  With the coordinates in
+    block order, so that block ``k`` is the slice ``j``, and ``C = M^T``, the
     step is ``w = h[j]; y[j] += w; h -= w @ C[j]``: O(c d) work on views,
     against O(n c) for the same step on ``z``.
 
     ``blockcd`` descends on ``B = a``, with ``y = x``
     (``double`` and ``hybrid`` on the blocks' bases: :class:`_BasesDescent`).
-    ``R_lk = V_l S_l^-1 (U_l^T U_k) S_k V_k^T`` is built from the blocks' SVD
-    factors.  The ``U_l`` are orthonormal, so rounding in ``h`` grows by at
-    most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a`` instead,
-    it would grow by ``cond(A_k)^2`` and diverge on nearly collinear blocks.
+    The descent reads ``a`` only through ``pinv(A_l) A_k`` and
+    ``h_b = [pinv(A_l) b]_l``, and for any ``Q`` with orthonormal columns and
+    ``a = Q F``, these are ``pinv(F_l) F_k`` and ``pinv(F_l) Q^T b``.  So
+    ``cols`` plans the column blocks of such an ``F`` and ``qtb`` is
+    ``Q^T b``: :meth:`Kernel.for_config` plans them on the ``k x d`` factor
+    ``R`` of :func:`~blockkaczmarz.systems.reduced_factor`, ``k = min(n, d)``,
+    with ``qtb = c``, and a plan of ``a`` itself takes ``qtb = b``.
+    ``M_lk = V_l S_l^-1 (U_l^T U_k) S_k V_k^T`` is built from the blocks' SVD
+    factors, so the overlap ``U_l^T U_k`` is ``k x k`` on ``R``, not
+    ``n x n``.  The ``U_l`` are orthonormal, so rounding in ``h`` grows by
+    at most ``cond(A_k)`` per step, as on ``z``.  Built from ``a^T a``
+    instead, it would grow by ``cond(A_k)^2`` and diverge on nearly
+    collinear blocks.  A block's zero column is an exactly zero column of
+    ``R``, so its coordinate of ``x`` stays exactly 0 either way.
 
-    :meth:`build` makes ``C``, its block rows as views, and
-    ``h_b = [pinv(A_l) b]_l`` (O(d^2) memory), and drops the plan; nothing
-    of a run is kept here.  :meth:`start` gives a run its own descent state
+    :meth:`build` makes ``C``, its block rows as views, and ``h_b``
+    (O(d^2) memory), and drops the plan and ``qtb``; nothing of a run is
+    kept here.  :meth:`start` gives a run its own descent state
     (:class:`_DescentRun`), which carries ``h`` and the block-ordered ``x``
     from one epoch to the next.
     """
 
-    def __init__(self, a, b, cols: BlockPlan):
-        self._a, self._b, self._cols = a, b, cols
+    def __init__(self, a, b, cols: BlockPlan, qtb):
+        self._a, self._b, self._cols, self._qtb = a, b, cols, qtb
         blocks = cols.partition.blocks
         self._perm = np.concatenate(blocks)
         self._slices = _slices([len(idx) for idx in blocks])
@@ -290,11 +300,12 @@ class _PinvDescent:
             right.append(vk * sk)
         # overlap[r_l, r_k] = U_l^T U_k; half[:, j_l] = overlap[:, r_l] S_l^-1 V_l^T
         ut = np.concatenate(u, axis=1)
-        # the plan is read: its n x d blocks and U factors go before the d x d arrays
+        # the plan is read: its blocks and U factors go before the d x d arrays
         self._cols = None
         del u, v
-        overlap, utb = ut.T @ ut, ut.T @ self._b
-        del ut  # n x d: free it before the d x d arrays
+        overlap, utb = ut.T @ ut, ut.T @ self._qtb
+        self._qtb = None
+        del ut  # free it before the d x d arrays
         d = self._perm.size
         half = np.empty((overlap.shape[0], d))
         for j, r, lk in zip(self._slices, ranks, left):
@@ -575,10 +586,14 @@ class Kernel:
     its partitions to each block's singular values, as :func:`svd_factor`
     gave them and not cut to rank (O(d) floats, kept after :meth:`build`
     drops the plans), for the envelopes' pavings
-    (:func:`~blockkaczmarz.paving.paving_bounds`).
+    (:func:`~blockkaczmarz.paving.paving_bounds`).  ``blockcd``'s ``cols``
+    may plan the column blocks of ``Q^T a`` for any ``Q`` with orthonormal
+    columns spanning the range of ``a``, with ``qtb = Q^T b``
+    (:class:`_PinvDescent`); without ``qtb`` they plan ``a``'s own, and
+    ``qtb`` is ``b``.  Every other side plans ``a``'s blocks.
     """
 
-    def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None):
+    def __init__(self, method: str, a, b: np.ndarray, rows=None, cols=None, qtb=None):
         _check_taken(method, rows is not None, cols is not None)
         col_side, row_side = _SKETCH[method]
         sides = [(side, plan, name, sq) for side, plan, name, sq in
@@ -592,7 +607,7 @@ class Kernel:
         if row_side == _NORM:
             self._engine = _NormChunks(a, b, columns=col_side is not None)
         elif row_side is None:
-            self._engine = _PinvDescent(a, b, cols)
+            self._engine = _PinvDescent(a, b, cols, b if qtb is None else qtb)
         elif col_side is None:
             self._engine = _RowBlocks(b, rows)
         else:
@@ -604,11 +619,22 @@ class Kernel:
         """The kernel of ``config``'s method on ``system``, with a
         :func:`make_block_plan` for each of its partitions.
 
+        ``blockcd`` plans its column blocks on the ``k x d`` factor ``R`` of
+        :func:`~blockkaczmarz.systems.reduced_factor` (``k = min(n, d)``),
+        read off the system's ``T`` or computed for a system without one,
+        and descends against ``c``; the kernel keeps neither ``R`` nor
+        ``T``.  Every other method plans ``a``'s blocks: its steps read
+        ``a``'s rows or live in ``n``-space.
+
         Raises :class:`ConfigError` when ``config`` does not fit ``system``.
         """
         config.validate(system.n_rows, system.n_cols)
-        plan = lambda part: None if part is None else make_block_plan(system.a, part)
-        return cls(config.method, system.a, system.b, rows=plan(config.row_partition), cols=plan(config.col_partition))
+        a, qtb = system.a, None
+        if config.method == BLOCK_CD:
+            a, qtb = reduced_factor(system)
+        plan = lambda part: None if part is None else make_block_plan(a, part)
+        return cls(config.method, system.a, system.b, rows=plan(config.row_partition), cols=plan(config.col_partition),
+                   qtb=qtb)
 
     def build(self) -> Kernel:
         """Build the operands of every block, and drop the plans.

@@ -5,6 +5,14 @@ minimum-norm least-squares solution, and the orthogonal decomposition of the
 right-hand side into its components inside and orthogonal to the range of the
 matrix.  Solvers treat all of it as read-only; the exact solution is what the
 per-epoch error telemetry is measured against.
+
+A system made by :func:`make_system` is factored once, as the triangular
+factor ``T`` of the Householder QR of ``[a | b]`` (``Q`` is never formed).
+With ``k = min(n, d)``, ``R = T[:k, :d]`` and ``c = T[:k, d]`` satisfy
+``a = Q R`` and ``Q^T b = c`` for a ``Q`` with orthonormal columns, so
+``pinv(a) b = pinv(R) c`` and ``pinv(A_l) A_k = pinv(R_l) R_k`` for column
+blocks: the oracle and the column-block descent work on ``k`` rows, not
+``n`` (:func:`reduced_factor`).
 """
 
 from __future__ import annotations
@@ -42,6 +50,11 @@ class LinearSystem:
     the identity fails.  The oracle fields may be ``None`` for systems built
     with ``with_oracle=False``, in which case error-based stopping is
     unavailable.
+
+    ``triangular`` is ``T``, the triangular factor of ``[a | b]``
+    (:func:`triangular_factor`, ``min(n, d + 1) x (d + 1)``), when
+    :func:`make_system` computed it for the oracle, and ``None`` otherwise;
+    :func:`reduced_factor` reads ``R`` and ``c`` off it, or computes it.
     """
 
     a: np.ndarray
@@ -51,6 +64,7 @@ class LinearSystem:
     b_range: np.ndarray | None
     b_perp: np.ndarray | None
     s_vt: np.ndarray | None = None
+    triangular: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -61,6 +75,31 @@ class LinearSystem:
         return self.a.shape[1]
 
 
+def triangular_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``T``, the triangular factor of the Householder QR of ``[a | b]``.
+
+    ``Q`` is never formed.  A zero column of ``a`` is an exactly zero
+    column of ``T``: every reflection maps a zero vector to zero.
+    """
+    return np.linalg.qr(np.column_stack((a, b)), mode="r")
+
+
+def reduced_factor(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, c)``: the ``k x d`` factor ``R = T[:k, :d]`` and ``c = T[:k, d]``,
+    ``k = min(n, d)``, of the system's ``T``, computed here when the system
+    has none.
+
+    ``a = Q R`` and ``c = Q^T b`` for a ``Q`` with orthonormal columns.
+    ``R`` is a view of ``T`` and ``c`` a copy, so whoever keeps only ``c``
+    (or copies of ``R``'s blocks) does not keep ``T``.
+    """
+    t = system.triangular
+    if t is None:
+        t = triangular_factor(system.a, system.b)
+    k = min(system.n_rows, system.n_cols)
+    return t[:k, :-1], t[:k, -1].copy()
+
+
 def make_system(
     a: np.ndarray,
     b: np.ndarray,
@@ -69,21 +108,35 @@ def make_system(
 ) -> LinearSystem:
     """Build a :class:`LinearSystem`, solving for the exact solution once.
 
-    The full SVD used for the oracle is computed here (or by the caller of
-    :func:`attach_oracle`), so solver timings never include it.
+    With the oracle, ``[a | b]`` is factored once (:func:`triangular_factor`)
+    and the system keeps ``T``; the oracle is the thin SVD of the ``k x d``
+    factor ``R`` applied to ``c`` (:func:`reduced_factor`), so no factor with
+    ``n`` rows is formed.  Both are computed here, so solver timings never
+    include them.  Without the oracle nothing is factored.
     """
     a = as_matrix(a)
     b = as_vector(b, "b")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
     system = LinearSystem(a=a, b=b, x_ls=None, spectral=None, b_range=None, b_perp=None)
-    return attach_oracle(system, svd_factor(a, rank_tolerance)) if with_oracle else system
+    if not with_oracle:
+        return system
+    system = replace(system, triangular=triangular_factor(a, b))
+    r, c = reduced_factor(system)
+    return attach_oracle(system, svd_factor(r, rank_tolerance), c)
 
 
-def attach_oracle(system: LinearSystem, fact: SvdFactorization) -> LinearSystem:
-    """``system`` with its oracle read off ``fact``, a factorization of ``system.a``."""
+def attach_oracle(system: LinearSystem, fact: SvdFactorization, rhs: np.ndarray) -> LinearSystem:
+    """``system`` with its oracle read off ``fact`` and ``rhs``.
+
+    ``fact`` factors ``Q^T a`` and ``rhs`` is ``Q^T b``, for any ``Q`` with
+    orthonormal columns that spans the range of ``a``: ``system.a`` itself
+    with ``system.b`` (``Q = I``), or :func:`reduced_factor`'s ``R`` with
+    ``c``.  Either way ``x_ls = pinv_apply(fact, rhs)``, the singular values
+    and ``V`` are ``a``'s, and ``b_range = a @ x_ls``.
+    """
     spectral = summarize_factorization(system.a, fact)
-    x_ls = pinv_apply(fact, system.b)
+    x_ls = pinv_apply(fact, rhs)
     b_range = system.a @ x_ls
     s = fact.singular_values
     # b_perp is orthogonal only to the kept directions: s_vt stands in for a

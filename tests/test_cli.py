@@ -280,12 +280,17 @@ def test_missing_file_exits_with_one_line_naming_it(system_files, tmp_path, argv
     (["solve", "--matrix", "{a}", "--rhs", "{a}", "--method", "rk"], "{a}"),
     (["pave-check", "{nan}", "--blocks", "2"], "{nan}"),
     (["experiment", "--preset", "fig1", "--trials", "1", "--max-epochs", "0", "--out", "{file}/out"], "{file}/out"),
+    (["solve", "--matrix", "{a}", "--rhs", "{b}", "--method", "rk", "--max-epochs", "1", "--trace", "{nodir}/t.csv"],
+     "{nodir}/t.csv"),
+    (["experiment", "--preset", "fig1", "--trials", "1", "--max-epochs", "0", "--out", "{taken}"], "{taken}/trace.csv"),
 ], ids=["solve-zero-matrix", "solve-nan-matrix", "solve-short-rhs", "solve-matrix-as-rhs", "pave-check-nan-matrix",
-        "experiment-out-under-a-file"])
+        "experiment-out-under-a-file", "solve-trace-in-a-missing-directory", "experiment-output-taken-by-a-directory"])
 def test_unusable_input_or_output_exits_with_one_line_naming_it(system_files, tmp_path, argv, named):
     # a string SystemExit code exits 1 with that one line on stderr
     _, b, mpath, bpath = system_files
-    paths = {"a": mpath, "b": bpath, **{name: str(tmp_path / f"{name}.txt") for name in ("zero", "nan", "short", "file")}}
+    paths = {"a": mpath, "b": bpath, **{name: str(tmp_path / f"{name}.txt") for name in ("zero", "nan", "short", "file")},
+             "nodir": str(tmp_path / "nodir"), "taken": str(tmp_path / "taken")}
+    (tmp_path / "taken" / "trace.csv").mkdir(parents=True)
     write_matrix(np.zeros((24, 6)), paths["zero"])
     (tmp_path / "nan.txt").write_text("2 2\n1 nan\n0 1\n")
     write_vector(b[:-1], paths["short"])

@@ -30,7 +30,7 @@ from blockkaczmarz.harness import (
 from blockkaczmarz import harness, linalg, solvers, systems
 from blockkaczmarz.paving import column_standardize, dynamic_range, row_standardize
 from blockkaczmarz.solvers import StopRule, make_block_plan, run
-from blockkaczmarz.systems import make_system
+from blockkaczmarz.systems import attach_oracle, make_system
 
 
 class TestGenGaussianRowstd:
@@ -167,7 +167,8 @@ class TestGenerateSystem:
         u = fact.u[:, : fact.rank]
         g = rng.standard_normal(n)
         e = g - u @ (u.T @ g)
-        ref = make_system(a, a @ x + e * (spec.residual_norm / np.linalg.norm(e)))
+        b = a @ x + e * (spec.residual_norm / np.linalg.norm(e))
+        ref = attach_oracle(make_system(a, b, with_oracle=False), linalg.svd_factor(a), b)
         sys_ = generate_system(spec)
         for name in ("a", "b", "x_ls", "b_range", "b_perp", "s_vt"):
             assert np.array_equal(getattr(sys_, name), getattr(ref, name)), name
@@ -491,6 +492,26 @@ class TestEnvelopes:
         assert svds == []
         assert len(pavings) == paved_sides
         assert {r.method for r in rows} == {m.name for m in p.methods if m.method != "hybrid"}
+
+    def test_fig4_factors_nothing_with_more_than_d_plus_one_rows(self, monkeypatch):
+        # make_system factors [a | b] once and takes the oracle SVD of its
+        # d x d factor R, and each blockcd arm plans its column blocks on R:
+        # no SVD sees the 1200 rows of the ray matrix
+        p = make_preset("fig4", 0, max_epochs=0)
+        shapes = []
+
+        def counting(real):
+            return lambda a, *args, **kwargs: shapes.append((real.__name__, a.shape)) or real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+        for module in (linalg, harness, solvers, systems):
+            monkeypatch.setattr(module, "svd_factor", counting(linalg.svd_factor))
+        experiment = run_experiment(p.spec, list(p.methods), 1, p.stop)
+        n, d = experiment.system.a.shape
+        assert n > d + 1
+        blocks = sum(m.col_blocks for m in p.methods)
+        assert [name for name, _ in shapes].count("svd_factor") == 1 + blocks
+        assert max(shape[0] for _, shape in shapes) <= d + 1
 
     def test_arms_missing_from_the_grid_are_skipped(self):
         arms = prepared_arms(tiny_spec(), [MethodSetting("rek"), MethodSetting("rk")])

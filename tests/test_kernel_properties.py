@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockkaczmarz.linalg import DEFAULT_RANK_TOLERANCE, svd_factor
 from blockkaczmarz.paving import COLUMNS, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
     _CHUNK,
@@ -26,7 +27,7 @@ from blockkaczmarz.solvers import (
     make_block_plan,
     run,
 )
-from blockkaczmarz.systems import make_system
+from blockkaczmarz.systems import make_system, reduced_factor
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -326,6 +327,58 @@ def test_trace_telemetry_matches_direct_norms(method, problem):
             assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol
 
 
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("strategy", [
+    problems().map(lambda p: (p[0].a, p[0].b, p[2].partition, p[3])),
+    rank_deficient_columns().map(lambda p: (p[0], p[1], p[2].partition, p[4])),
+    telemetry_problems().map(lambda p: (p[0].a, p[0].b, p[2], np.random.default_rng(p[3]))),
+], ids=["problems", "rank_deficient_columns", "tall_or_wide"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_reduced_factor_gives_the_oracle_and_descent_of_a(strategy, data):
+    # make_system and blockcd's kernel work on R and c from the QR of [a | b]:
+    # each quantity must match the one taken from a itself.  The bounds are
+    # 450 eps on the scale each quantity's rounding has: sigma_max for the
+    # singular values and s_vt; kappa (|x| + |b| / sigma_r) for x_ls (the
+    # least-squares perturbation bound, kappa over the numerical rank); and
+    # kappa_b^2 for C and kappa_b^2 |b| / sigma_max for h_b, with
+    # kappa_b = sigma_max(a) / (the smallest kept singular value of any block).
+    a, b, part, rng = data.draw(strategy)
+    tol = 1e-13
+    system = make_system(a, b)
+    s_a = np.linalg.svd(a, compute_uv=False)
+    rank = int(np.count_nonzero(s_a > DEFAULT_RANK_TOLERANCE * s_a[0]))
+    kappa = s_a[0] / s_a[rank - 1]
+
+    r, c = reduced_factor(system)
+    assert r.shape == c.shape + (a.shape[1],) == (min(a.shape), a.shape[1])
+    s_r = svd_factor(r).singular_values
+    assert np.max(np.abs(s_r - s_a[: s_r.size])) <= tol * s_a[0]
+    assert abs(system.spectral.sigma_min_nonzero - s_a[rank - 1]) <= tol * s_a[0]
+
+    x_ref = np.linalg.lstsq(a, b, rcond=DEFAULT_RANK_TOLERANCE)[0]
+    scale = kappa * (np.linalg.norm(x_ref) + np.linalg.norm(b) / s_a[rank - 1])
+    assert np.linalg.norm(system.x_ls - x_ref) <= tol * scale
+    if system.s_vt is not None:
+        e = rng.standard_normal(a.shape[1])
+        assert abs(np.linalg.norm(system.s_vt @ e) - np.linalg.norm(a @ e)) <= tol * s_a[0] * np.linalg.norm(e)
+
+    kernel = Kernel.for_config(system, MethodConfig(BLOCK_CD, col_partition=part)).build()
+    direct = Kernel(BLOCK_CD, a, b, cols=make_block_plan(a, part)).build()
+    blocks = [np.linalg.svd(a[:, idx], compute_uv=False) for idx in part.blocks]
+    kept = [sv[sv > DEFAULT_RANK_TOLERANCE * sv[0]] for sv in blocks if sv[0] > 0]
+    kappa_b = s_a[0] / min(sv[-1] for sv in kept)
+    assert np.linalg.norm(kernel._engine._c - direct._engine._c) <= tol * kappa_b**2
+    assert np.linalg.norm(kernel._engine._hb - direct._engine._hb) <= tol * kappa_b**2 * np.linalg.norm(b) / s_a[0]
+
+    zero = ~a.any(axis=0)
+    x = np.zeros(a.shape[1])
+    kernel.apply(x, None, kernel.draw(rng, 3 * part.n_blocks))
+    assert np.all(x[zero] == 0.0)
+
+
 @st.composite
 def shared_kernel_problems(draw):
     """A tall or wide rank-``r`` system, consistent or not, with a zero column
@@ -368,10 +421,12 @@ def test_one_built_kernel_serves_runs_like_fresh_kernels(method, problem):
     config = MethodConfig(method, row_partition=rows, col_partition=cols)
     stop = StopRule(max_epochs=4, error_threshold=1e-300)
     fresh_runs = [run(system, replace(config, seed=s), stop) for s in seeds]
-    plans = [None if part is None else make_block_plan(system.a, part) for part in (rows, cols)]
-    fresh_steps = step_states(Kernel(method, system.a, system.b, *plans), system, method, seeds[0])
+    # planned as Kernel.for_config plans them: blockcd's on the reduced factor
+    src, qtb = reduced_factor(system) if method == BLOCK_CD else (system.a, None)
+    plans = [None if part is None else make_block_plan(src, part) for part in (rows, cols)]
+    fresh_steps = step_states(Kernel(method, system.a, system.b, *plans, qtb=qtb), system, method, seeds[0])
 
-    kernel = Kernel(method, system.a, system.b, *plans).build()
+    kernel = Kernel(method, system.a, system.b, *plans, qtb=qtb).build()
     refs = [weakref.ref(obj) for plan in plans if plan is not None for obj in (plan, *plan.factorizations)]
     del plans
     assert all(ref() is None for ref in refs)

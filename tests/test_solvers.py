@@ -1,10 +1,11 @@
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blockkaczmarz import solvers
+from blockkaczmarz import solvers, systems
 from blockkaczmarz.linalg import pinv_apply
 from blockkaczmarz.paving import COLUMNS, ROWS, Partition, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
@@ -905,6 +906,25 @@ class TestSharedKernel:
             shared = run(sys_, replace(config, seed=seed, kernel=kernel), stop)
             assert trace_rows(shared) == trace_rows(ref)
             assert np.array_equal(shared.final_x, ref.final_x)
+
+    def test_blockcd_kernel_lets_the_triangular_factor_go(self, monkeypatch):
+        # a system without T gets one for blockcd's plans; the kernel keeps
+        # only copies of R's blocks and of c, so T is freed
+        sys_, configs, _, _ = mixed_setup()
+        system = make_system(sys_.a, sys_.b, with_oracle=False)
+        refs, real = [], systems.triangular_factor
+
+        def recording(a, b):
+            t = real(a, b)
+            refs.append(weakref.ref(t))
+            return t
+
+        monkeypatch.setattr(systems, "triangular_factor", recording)
+        kernel = Kernel.for_config(system, configs[BLOCK_CD]).build()
+        assert len(refs) == 1 and refs[0]() is None
+        x = np.zeros(system.n_cols)
+        kernel.apply(x, None, kernel.draw(np.random.default_rng(0), 9))
+        assert np.linalg.norm(system.b - system.a @ x) < np.linalg.norm(system.b)
 
     def test_kernel_takes_no_part_in_config_equality(self):
         sys_, configs, _, _ = mixed_setup()
