@@ -28,7 +28,9 @@ Five methods share one run loop:
     partition is needed, and only the coordinates of the chosen column block
     change per step.  Steps run on the blocks' pseudoinverse images of the
     residual, ``pinv(A_l) (b - a x)``, O(d c) each for blocks of ``c``
-    columns.  ``z = b - a @ x`` is formed at the end of an epoch only when
+    columns; the blocks are factored on the ``min(n, d) x d`` triangular
+    factor of the system, not on ``a`` (:meth:`Kernel.for_config`).
+    ``z = b - a @ x`` is formed at the end of an epoch only when
     one is passed in: :meth:`Kernel.step` always passes one, and :func:`run`
     none, since only its telemetry would read it.
 
@@ -264,7 +266,7 @@ class _PinvDescent:
     (``double`` and ``hybrid`` on the blocks' bases: :class:`_BasesDescent`).
     The descent reads ``a`` only through ``pinv(A_l) A_k`` and
     ``h_b = [pinv(A_l) b]_l``, and for any ``Q`` with orthonormal columns and
-    ``a = Q F``, these are ``pinv(F_l) F_k`` and ``pinv(F_l) Q^T b``.  So
+    ``a = Q F``, they are ``pinv(F_l) F_k`` and ``pinv(F_l) Q^T b``.  So
     ``cols`` plans the column blocks of such an ``F`` and ``qtb`` is
     ``Q^T b``: :meth:`Kernel.for_config` plans them on the ``k x d`` factor
     ``R`` of :func:`~blockkaczmarz.systems.reduced_factor`, ``k = min(n, d)``,
@@ -588,7 +590,7 @@ class Kernel:
     drops the plans), for the envelopes' pavings
     (:func:`~blockkaczmarz.paving.paving_bounds`).  ``blockcd``'s ``cols``
     may plan the column blocks of ``Q^T a`` for any ``Q`` with orthonormal
-    columns spanning the range of ``a``, with ``qtb = Q^T b``
+    columns whose range contains ``a``'s, with ``qtb = Q^T b``
     (:class:`_PinvDescent`); without ``qtb`` they plan ``a``'s own, and
     ``qtb`` is ``b``.  Every other side plans ``a``'s blocks.
     """

@@ -118,10 +118,10 @@ def make_system(
     b = as_vector(b, "b")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
-    system = LinearSystem(a=a, b=b, x_ls=None, spectral=None, b_range=None, b_perp=None)
+    system = LinearSystem(a=a, b=b, x_ls=None, spectral=None, b_range=None, b_perp=None,
+                          triangular=triangular_factor(a, b) if with_oracle else None)
     if not with_oracle:
         return system
-    system = replace(system, triangular=triangular_factor(a, b))
     r, c = reduced_factor(system)
     return attach_oracle(system, svd_factor(r, rank_tolerance), c)
 
@@ -130,7 +130,7 @@ def attach_oracle(system: LinearSystem, fact: SvdFactorization, rhs: np.ndarray)
     """``system`` with its oracle read off ``fact`` and ``rhs``.
 
     ``fact`` factors ``Q^T a`` and ``rhs`` is ``Q^T b``, for any ``Q`` with
-    orthonormal columns that spans the range of ``a``: ``system.a`` itself
+    orthonormal columns whose range contains ``a``'s: ``system.a`` itself
     with ``system.b`` (``Q = I``), or :func:`reduced_factor`'s ``R`` with
     ``c``.  Either way ``x_ls = pinv_apply(fact, rhs)``, the singular values
     and ``V`` are ``a``'s, and ``b_range = a @ x_ls``.
