@@ -327,9 +327,6 @@ def test_trace_telemetry_matches_direct_norms(method, problem):
             assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol
 
 
-EPS = np.finfo(float).eps
-
-
 @pytest.mark.parametrize("strategy", [
     problems().map(lambda p: (p[0].a, p[0].b, p[2].partition, p[3])),
     rank_deficient_columns().map(lambda p: (p[0], p[1], p[2].partition, p[4])),
