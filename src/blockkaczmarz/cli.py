@@ -120,6 +120,9 @@ def _cmd_solve(args) -> int:
     setting = MethodSetting(args.method, row_blocks=args.row_blocks, col_blocks=args.col_blocks)
     prep = prepare_method(system, setting, args.seed)
     stop = StopRule(max_epochs=args.max_epochs, error_threshold=args.tol)
+    if args.trace:
+        # fail before the run, not after it: open (and so create) the trace file now
+        _at(args.trace, lambda path: open(path, "a").close(), OSError)
     trace = run(system, replace(prep.config, seed=derive_seed(args.seed, args.method, 0)), stop)
     if args.trace:
         records = [ExperimentRecord(method=args.method, trial=0, trace=trace)]

@@ -331,10 +331,11 @@ class _DescentRun:
     callable.
 
     The state is the iterate in block order, :attr:`xp` (gathered from ``x``
-    once), the carried :attr:`h`, and per-block views of both, so a step is
-    three calls on prebuilt views: ``w = hv[k]`` is read by ``xv[k] += w``
-    and by ``np.dot(w, C[k])`` before ``h`` is written.  ``h`` is set to
-    ``h_b - xp C`` (a d x d gemv) at the first epoch and then every
+    once), the carried :attr:`h`, per-block views of both, and a d-vector
+    that every product is written into, so a step is three calls on prebuilt
+    arrays that allocate nothing: ``w = hv[k]`` is read by ``xv[k] += w`` and
+    by ``np.dot(w, C[k], out=tmp)`` before ``h -= tmp`` writes ``h``.  ``h``
+    is set to ``h_b - xp C`` (a d x d gemv) at the first epoch and then every
     ``_REFRESH`` epochs; in between it drifts by rounding, at most
     ``cond(A_k)`` per step.  Each epoch ends by scattering ``xp`` into ``x``
     (O(d)).  The ``z`` passed in is not read: when it is an array, it is set
@@ -348,18 +349,19 @@ class _DescentRun:
         self.h = np.empty(self.xp.size)
         self._hv = [self.h[j] for j in descent._slices]
         self._xv = [self.xp[j] for j in descent._slices]
+        self._tmp = np.empty(self.xp.size)
         self._epochs = 0
 
     def __call__(self, indices) -> None:
-        d, h, xp, hv, xv = self._descent, self.h, self.xp, self._hv, self._xv
+        d, h, xp, hv, xv, tmp = self._descent, self.h, self.xp, self._hv, self._xv, self._tmp
         cv, dot, subtract = d._cv, np.dot, np.subtract
         if self._epochs % _REFRESH == 0:
-            subtract(d._hb, dot(xp, d._c), out=h)
+            subtract(d._hb, dot(xp, d._c, out=tmp), out=h)
         self._epochs += 1
         for k in indices[0]:
             w = hv[k]
             xv[k] += w
-            subtract(h, dot(w, cv[k]), out=h)
+            subtract(h, dot(w, cv[k], out=tmp), out=h)
         self._x[d._perm] = xp
         if self._z is not None:
             subtract(d._b, dot(d._a, self._x), out=self._z)
@@ -393,24 +395,37 @@ class _BasesDescent(_Stateless):
         self._slices = _slices([u.shape[1] for u in bases])
         self._ut = np.concatenate(bases, axis=1).T.copy()
         self._c = self._ut @ self._ut.T
+        self._cv = [self._c[j] for j in self._slices]
         self._rows.build(self._ut.T)
+        rows_of = self._rows.rows_of
+        self._row_order, self._row_slices = np.concatenate(rows_of), _slices([len(i) for i in rows_of])
 
     def __call__(self, indices, x, z) -> None:
         """The steps ``indices``: per step, the descent step on ``t``, then the
         row step.  ``z`` after the descent steps is ``z - U t``, so the row
         residual ``(b - z - a x)_k`` is ``[b_k | -A_k | U_k] [1; x; t] - z_k``
-        for the ``z`` passed in, which is set to ``z - U t`` last."""
-        c, ut, slices, dot = self._c, self._ut, self._slices, np.dot
-        folded, lifted, rows_of = self._rows.folded, self._rows.lifted, self._rows.rows_of
-        v = np.concatenate(([1.0], x, np.zeros(c.shape[0])))
+        for the ``z`` passed in, which is set to ``z - U t`` last.
+
+        Every step reads and writes prebuilt views: of ``h``, ``t``, ``C``'s
+        block rows, and of ``z`` gathered into row-block order once (the
+        steps do not write it), with each dot written into a buffer."""
+        cv, ut, dot, add, subtract = self._cv, self._ut, np.dot, np.add, np.subtract
+        folded, lifted = self._rows.folded, self._rows.lifted
+        v = np.concatenate(([1.0], x, np.zeros(ut.shape[0])))
         x1, t = v[: x.size + 1], v[x.size + 1 :]
         h = dot(ut, z)
+        hv, tv = [h[j] for j in self._slices], [t[j] for j in self._slices]
+        zr = z[self._row_order]
+        r = np.empty(zr.size)
+        zv, rv = [zr[i] for i in self._row_slices], [r[i] for i in self._row_slices]
+        dh, dx = np.empty(h.size), np.empty(x1.size)
         for l, k in zip(*indices):
-            j = slices[l]
-            w = h[j]
-            t[j] += w
-            h -= dot(w, c[j])
-            x1 += dot(dot(folded[k], v) - z.take(rows_of[k]), lifted[k])
+            w = hv[l]
+            tv[l] += w
+            subtract(h, dot(w, cv[l], out=dh), out=h)
+            rk = dot(folded[k], v, out=rv[k])
+            subtract(rk, zv[k], out=rk)
+            add(x1, dot(rk, lifted[k], out=dx), out=x1)
         x[:] = x1[1:]
         z -= dot(ut.T, t)
 
@@ -768,6 +783,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+# Epochs of e = x - x_ls that a run with ``s_vt`` keeps for one product.
+_BATCH = 512
+
+
 def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=None) -> Trace:
     """Run one method on one system, recording one trace row per epoch.
 
@@ -802,12 +821,17 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         ``blockcd`` carries ``h`` and its block-ordered ``x`` across epochs.
         ``residual_l2`` is ``norm(b - a x)``.  When the system has
         ``s_vt``, it is read off ``e = x - x_ls`` as
-        ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, a d x d gemv instead
-        of an n x d one, equal to the direct norm up to rounding, and
-        ``blockcd``'s ``z_error_l2`` is ``norm(s_vt @ e)``.  Otherwise it is
-        computed directly, exactly, and ``blockcd``'s ``z_error_l2`` (with
-        an oracle) is ``norm(b - a x - b_perp)``.  ``blockcd``'s steps form
-        no ``z``.
+        ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, equal to the direct
+        norm up to rounding, and ``blockcd``'s ``z_error_l2`` is
+        ``norm(s_vt @ e)``.  Such a run stops on its error, and nothing
+        reads its residual before it ends: each epoch's ``e`` goes into a
+        column of a d x W buffer of the run's own,
+        ``W = min(stop.max_epochs + 1, _BATCH)``, and one product
+        ``s_vt @ E`` gives the norms of all its epochs when the buffer is
+        full and when the run ends.  Otherwise the residual is computed
+        directly every epoch, exactly, and ``blockcd``'s ``z_error_l2``
+        (with an oracle) is ``norm(b - a x - b_perp)``.  ``blockcd``'s
+        steps form no ``z``.  The rows are made when the run ends.
     """
     a, b = system.a, system.b
     config.validate(system.n_rows, system.n_cols)
@@ -827,60 +851,82 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     x, z = state.x, state.z
     trace = Trace(method=method)
     solver_cpu = 0.0
+    # one plain float (or None) per epoch; the rows are made once the run ends
+    errors, residuals, z_errors, cpus = [], [], [], []
 
     error_based = error_fn is not None or system.x_ls is not None
     s_vt = system.s_vt
     if s_vt is not None:
-        # b - a x = b_perp - u (s_vt e) with b_perp orthogonal to the range of u
+        # b - a x = b_perp - u (s_vt e) with b_perp orthogonal to the range of
+        # u; nothing reads the residual before the run ends, so the e of each
+        # epoch waits in a column of `pending` for one product of many epochs
         perp_sq = system.b_perp.dot(system.b_perp)
+        pending = np.empty((system.n_cols, min(stop.max_epochs + 1, _BATCH)), order="F")
     if method == BLOCK_CD:
         z = None  # only telemetry would read it: record forms the residual
 
-    def record(epoch: int) -> float:
-        e = None if system.x_ls is None else x - system.x_ls
+    def flush() -> None:
+        """The residuals (and ``blockcd``'s z errors) of the pending epochs."""
+        g = np.dot(s_vt, pending[:, : len(errors) - len(residuals)])
+        range_err = np.sqrt(np.einsum("ij,ij->j", g, g))
+        residuals.extend(np.sqrt(perp_sq + range_err * range_err).tolist())
+        if method == BLOCK_CD:
+            z_errors.extend(range_err.tolist())
+
+    def record() -> float:
+        if s_vt is not None:
+            column = len(errors) - len(residuals)
+            e = pending[:, column]
+            np.subtract(x, system.x_ls, out=e)
+        else:
+            e = None if system.x_ls is None else x - system.x_ls
         if error_fn is not None:
             err = float(error_fn(x))
         elif e is not None:
             err = _norm(e)
         else:
             err = float("nan")
-        z_err = None
+        errors.append(err)
+        cpus.append(solver_cpu)
         if s_vt is not None:
-            range_err = _norm(np.dot(s_vt, e))
-            resid = math.sqrt(perp_sq + range_err * range_err)
-            if method == BLOCK_CD:
-                z_err = range_err
+            resid = None  # read off `pending` by flush
+            if column + 1 == pending.shape[1]:
+                flush()
         else:
             r = b - np.dot(a, x)
             resid = _norm(r)
-            if method == BLOCK_CD and system.b_perp is not None:
-                z_err = _norm(r - system.b_perp)
-        if z is not None and system.b_perp is not None:
-            z_err = _norm(z - system.b_perp)
-        trace.rows.append(TraceRow(epoch, err, resid, z_err, solver_cpu))
+            residuals.append(resid)
+            if method == BLOCK_CD:
+                z_errors.append(None if system.b_perp is None else _norm(r - system.b_perp))
+        if method != BLOCK_CD:
+            z_errors.append(None if z is None or system.b_perp is None else _norm(z - system.b_perp))
         return err if error_based else resid
 
-    metric = record(0)
+    metric = record()
     prev_metric = metric
     if error_based and metric <= stop.error_threshold:
         trace.converged = True
     else:
+        residual_0 = metric
         if stop.max_epochs >= 1:
             run_epoch = kernel.start(x, z)  # untimed: cpu_seconds counts iterations only
         for epoch in range(1, stop.max_epochs + 1):
             t0 = time.process_time()
             run_epoch(kernel.draw(rng, iters_per_epoch))
             solver_cpu += time.process_time() - t0
-            metric = record(epoch)
+            metric = record()
             if error_based:
                 if metric <= stop.error_threshold:
                     trace.converged = True
                     break
             else:
-                if abs(prev_metric - metric) <= stop.error_threshold * max(trace.rows[0].residual_l2, 1e-300):
+                if abs(prev_metric - metric) <= stop.error_threshold * max(residual_0, 1e-300):
                     trace.converged = True
                     break
             prev_metric = metric
 
+    if len(residuals) < len(errors):
+        flush()
+    trace.rows = [TraceRow(*row) for row in zip(range(len(errors)), errors, residuals, z_errors, cpus)]
     trace.final_x = x.copy()
     return trace

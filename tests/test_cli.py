@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockkaczmarz import harness
+from blockkaczmarz import cli, harness
 from blockkaczmarz.cli import main
 from blockkaczmarz.harness import ExperimentRecord, MethodSetting, derive_seed, prepare_method, write_csv
 from blockkaczmarz.matio import read_matrix, read_vector, write_matrix, write_vector
@@ -300,6 +300,20 @@ def test_unusable_input_or_output_exits_with_one_line_naming_it(system_files, tm
     message = exc.value.code
     assert isinstance(message, str) and "\n" not in message
     assert named.format(**paths) in message
+
+
+@pytest.mark.parametrize("trace", ["nodir/t.csv", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_trace_exits_before_the_run(system_files, tmp_path, monkeypatch, trace):
+    def fail(*args, **kwargs):
+        raise AssertionError("solve ran before checking its --trace")
+
+    monkeypatch.setattr(cli, "run", fail)
+    _, _, mpath, bpath = system_files
+    path = str(tmp_path / trace)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--matrix", mpath, "--rhs", bpath, "--method", "rk", "--trace", path])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message and path in message
 
 
 def test_seed_derivation_is_pinned():

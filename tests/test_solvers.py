@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockkaczmarz import solvers, systems
+from blockkaczmarz.harness import MethodSetting, prepare_method
 from blockkaczmarz.linalg import pinv_apply
 from blockkaczmarz.paving import COLUMNS, ROWS, Partition, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
@@ -522,6 +523,17 @@ class TestRun:
         assert np.isnan(trace.rows[0].error_l2)
         assert trace.rows[-1].residual_l2 <= 1e-6 * np.linalg.norm(sys_.b)
 
+    def test_stagnation_stop_is_relative_to_the_first_residual(self, rng):
+        # scaling a and b by a power of two leaves every iterate as it is and
+        # scales every residual exactly, so the stop must land on one epoch
+        a = rng.standard_normal((15, 5))
+        b = a @ rng.standard_normal(5)
+        stop = StopRule(max_epochs=500, error_threshold=1e-9)
+        plain, scaled = (run(make_system(s * a, s * b, with_oracle=False), MethodConfig(RK, seed=0), stop)
+                         for s in (1.0, 2.0**20))
+        assert plain.converged and plain.final_epoch < stop.max_epochs
+        assert scaled.converged and scaled.final_epoch == plain.final_epoch
+
     def test_cpu_seconds_cumulative(self, rng):
         sys_ = small_system(rng, inconsistent=True)
         trace = run(sys_, MethodConfig(REK, seed=0), StopRule(max_epochs=5, error_threshold=1e-300))
@@ -995,3 +1007,112 @@ class TestSharedKernel:
         trace = run(sys_, configs[method], StopRule(max_epochs=1, error_threshold=1e-300))
         assert burnt
         assert trace.rows[1].cpu_seconds < 0.05
+
+
+def assert_same_telemetry(trace, reference):
+    """Same epochs, errors, stop and iterate; residuals and z errors equal up
+    to the rounding of a wider or narrower product."""
+    assert [(r.epoch, r.error_l2) for r in trace.rows] == [(r.epoch, r.error_l2) for r in reference.rows]
+    assert trace.converged == reference.converged
+    assert np.array_equal(trace.final_x, reference.final_x)
+    for row, ref in zip(trace.rows, reference.rows):
+        assert row.residual_l2 == pytest.approx(ref.residual_l2, rel=1e-14, abs=0)
+        assert (row.z_error_l2 is None) == (ref.z_error_l2 is None)
+        if ref.z_error_l2 is not None:
+            assert row.z_error_l2 == pytest.approx(ref.z_error_l2, rel=1e-14, abs=0)
+
+
+def assert_direct_telemetry(system, config, trace):
+    """Every row's residual (and blockcd's z error) within 1e-12 |b| of the
+    direct norms of that epoch's iterate."""
+    tol = 1e-12 * np.linalg.norm(system.b)
+    for row in trace.rows:
+        x = run(system, config, StopRule(max_epochs=row.epoch, error_threshold=1e-300)).final_x
+        resid = system.b - system.a @ x
+        assert abs(row.residual_l2 - np.linalg.norm(resid)) <= tol
+        if config.method == BLOCK_CD:
+            assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol
+
+
+class TestBatchedTelemetry:
+    """A run on a system with ``s_vt`` keeps each epoch's ``x - x_ls`` and
+    reads the residuals off one product per ``_BATCH`` epochs; with
+    ``_BATCH`` = 3 a run takes several products, and its rows must be those
+    of a run that takes one."""
+
+    @pytest.mark.parametrize("method", STEP_METHODS)
+    def test_run_over_three_products_stopping_part_way_through_one(self, method, monkeypatch):
+        sys_, configs, _, _ = mixed_setup(4)
+        assert sys_.s_vt is not None
+        config = configs[method]
+        # a threshold that epoch t is the first to reach, with t past the
+        # second product and not at the end of one
+        errors = [r.error_l2 for r in run(sys_, config, StopRule(max_epochs=40, error_threshold=1e-300)).rows]
+        t = next(t for t in range(6, 41) if (t + 1) % 3 and errors[t] < min(errors[:t]))
+        stop = StopRule(max_epochs=40, error_threshold=errors[t])
+        reference = run(sys_, config, stop)
+        monkeypatch.setattr(solvers, "_BATCH", 3)
+        trace = run(sys_, config, stop)
+        assert trace.converged and trace.final_epoch == t
+        assert_same_telemetry(trace, reference)
+        assert_direct_telemetry(sys_, config, trace)
+
+    @pytest.mark.parametrize("method", [RK, BLOCK_CD])
+    def test_zero_epochs(self, method, monkeypatch):
+        sys_, configs, _, _ = mixed_setup(7)
+        stop = StopRule(max_epochs=0, error_threshold=1e-300)
+        reference = run(sys_, configs[method], stop)
+        monkeypatch.setattr(solvers, "_BATCH", 3)
+        trace = run(sys_, configs[method], stop)
+        assert len(trace.rows) == 1
+        assert_same_telemetry(trace, reference)
+        assert_direct_telemetry(sys_, configs[method], trace)
+
+    @pytest.mark.parametrize("method", [RK, BLOCK_CD])
+    def test_converged_at_epoch_zero(self, method, monkeypatch):
+        sys_ = make_system(np.eye(3), np.zeros(3))
+        assert sys_.s_vt is not None
+        config = MethodConfig(method, col_partition=whole_partition(3, COLUMNS) if method == BLOCK_CD else None)
+        monkeypatch.setattr(solvers, "_BATCH", 3)
+        trace = run(sys_, config, StopRule(max_epochs=10, error_threshold=1e-12))
+        assert trace.converged and len(trace.rows) == 1
+        assert trace.rows[0].residual_l2 == 0.0
+        assert trace.rows[0].z_error_l2 == (0.0 if method == BLOCK_CD else None)
+
+    @pytest.mark.parametrize("method, blocks", [(REK, {}), (BLOCK_CD, {"col_blocks": 3})])
+    def test_error_fn_arm(self, method, blocks, monkeypatch):
+        # a column-standardized arm (figd): errors from its error_fn, the
+        # residual from the standardized system's s_vt
+        sys_, _, _, _ = mixed_setup(7)
+        prep = prepare_method(sys_, MethodSetting(method, standardize_columns=True, **blocks), 3)
+        assert prep.error_fn is not None and prep.solve_system.s_vt is not None
+        stop = StopRule(max_epochs=8, error_threshold=1e-300)
+        reference = run(prep.solve_system, prep.config, stop, error_fn=prep.error_fn)
+        monkeypatch.setattr(solvers, "_BATCH", 3)
+        trace = run(prep.solve_system, prep.config, stop, error_fn=prep.error_fn)
+        assert [r.error_l2 for r in trace.rows] == [prep.error_fn(x) for x in (
+            run(prep.solve_system, prep.config, StopRule(max_epochs=t, error_threshold=1e-300)).final_x
+            for t in range(9))]
+        assert_same_telemetry(trace, reference)
+        assert_direct_telemetry(prep.solve_system, prep.config, trace)
+
+    @pytest.mark.parametrize("method", STEP_METHODS)
+    def test_interleaved_runs_on_one_kernel(self, method, monkeypatch):
+        # every epoch of the outer run starts and ends a whole inner run on
+        # the same kernel while the outer run still holds epochs for a product
+        sys_, configs, _, _ = mixed_setup(7)
+        config = replace(configs[method], kernel=Kernel.for_config(sys_, configs[method]).build())
+        other = replace(config, seed=99)
+        stop = StopRule(max_epochs=8, error_threshold=1e-300)
+        references = [run(sys_, c, stop) for c in (config, other)]
+        monkeypatch.setattr(solvers, "_BATCH", 3)
+        inner = []
+
+        def error_fn(x):
+            inner.append(run(sys_, other, stop))
+            return float(np.linalg.norm(x - sys_.x_ls))
+
+        assert_same_telemetry(run(sys_, config, stop, error_fn=error_fn), references[0])
+        assert len(inner) == 9
+        for trace in inner:
+            assert_same_telemetry(trace, references[1])
