@@ -70,6 +70,7 @@ every block of the partition, once per kernel: three numpy calls per
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -432,7 +433,7 @@ class _BasesDescent(_Stateless):
 
 def _slices(sizes) -> list[slice]:
     """Consecutive slices of the given sizes."""
-    ends = np.cumsum(sizes).tolist()
+    ends = list(itertools.accumulate(sizes))
     return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
@@ -868,10 +869,11 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     def flush() -> None:
         """The residuals (and ``blockcd``'s z errors) of the pending epochs."""
         g = np.dot(s_vt, pending[:, : len(errors) - len(residuals)])
-        range_err = np.sqrt(np.einsum("ij,ij->j", g, g))
-        residuals.extend(np.sqrt(perp_sq + range_err * range_err).tolist())
-        if method == BLOCK_CD:
-            z_errors.extend(range_err.tolist())
+        for sq in np.multiply(g, g, out=g).sum(axis=0).tolist():
+            range_err = math.sqrt(sq)
+            residuals.append(math.sqrt(perp_sq + range_err * range_err))
+            if method == BLOCK_CD:
+                z_errors.append(range_err)
 
     def record() -> float:
         if s_vt is not None:
