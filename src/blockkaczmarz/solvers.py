@@ -395,8 +395,8 @@ class _BasesDescent(_Stateless):
         self._cols = None
         self._slices = _slices([u.shape[1] for u in bases])
         self._ut = np.concatenate(bases, axis=1).T.copy()
-        self._c = self._ut @ self._ut.T
-        self._cv = [self._c[j] for j in self._slices]
+        c = self._ut @ self._ut.T
+        self._cv = [c[j] for j in self._slices]
         self._rows.build(self._ut.T)
         rows_of = self._rows.rows_of
         self._row_order, self._row_slices = np.concatenate(rows_of), _slices([len(i) for i in rows_of])
