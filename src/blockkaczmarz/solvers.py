@@ -49,8 +49,9 @@ holds that update once: :meth:`Kernel.start` starts a run, whose epochs of
 batched draws update ``x`` and ``z`` in place (:meth:`Kernel.apply` is the
 first epoch of a new run), and :meth:`Kernel.step` is the one pure step,
 with its indices drawn or pinned side by side, column side first.  A run
-keeps its own state (``blockcd``: ``h`` and ``x`` in block order, across
-epochs); nothing writes into a system's arrays, a :class:`BlockPlan` or a
+keeps its own state (``blockcd``, ``double`` and ``hybrid``: one descent run
+that carries its coordinates in block order and ``h`` across epochs);
+nothing writes into a system's arrays, a :class:`BlockPlan` or a
 kernel's operands, so independent runs can share them, even at once:
 :meth:`Kernel.build` factors every block of a fixed partition once and
 drops the plans, and :func:`run` takes such a kernel through
@@ -261,7 +262,7 @@ class _PinvDescent:
     ``M[:, j] w`` with ``M = [pinv(B_l) B]_l``.  With the coordinates in
     block order, so that block ``k`` is the slice ``j``, and ``C = M^T``, the
     step is ``w = h[j]; y[j] += w; h -= w @ C[j]``: O(c d) work on views,
-    against O(n c) for the same step on ``z``.
+    against O(n c) for the same step on ``z``.  :class:`_DescentRun` takes it.
 
     ``blockcd`` descends on ``B = a``, with ``y = x``
     (``double`` and ``hybrid`` on the blocks' bases: :class:`_BasesDescent`).
@@ -282,9 +283,12 @@ class _PinvDescent:
 
     :meth:`build` makes ``C``, its block rows as views, and ``h_b``
     (O(d^2) memory), and drops the plan and ``qtb``; nothing of a run is
-    kept here.  :meth:`start` gives a run its own descent state
-    (:class:`_DescentRun`), which carries ``h`` and the block-ordered ``x``
-    from one epoch to the next.
+    kept here.  :meth:`start` gives a run its own :class:`_DescentRun` on
+    ``y = x`` in block order, with ``h0 = h_b``; each epoch ends by
+    scattering ``y`` into ``x`` (O(d)).  The ``z`` passed in is not read:
+    when it is an array, it is set to ``b - a x`` at each epoch's end (an
+    O(n d) gemv), and when it is ``None``, no residual is formed and ``x``
+    is the same.
     """
 
     def __init__(self, a, b, cols: BlockPlan, qtb):
@@ -320,7 +324,14 @@ class _PinvDescent:
         self._cv = [self._c[j] for j in self._slices]
 
     def start(self, x, z) -> _DescentRun:
-        return _DescentRun(self, x, z)
+        y = x[self._perm]
+
+        def end() -> None:
+            x[self._perm] = y
+            if z is not None:
+                np.subtract(self._b, np.dot(self._a, x), out=z)
+
+        return _DescentRun(self, y, self._hb, end)
 
 
 # Epochs between refreshes of a descent run's carried h from its iterate.
@@ -328,51 +339,57 @@ _REFRESH = 10
 
 
 class _DescentRun:
-    """One run's state on a built :class:`_PinvDescent`, and its epoch
-    callable.
+    """One run of a built descent engine (:class:`_PinvDescent` or
+    :class:`_BasesDescent`), and its epoch callable.
 
-    The state is the iterate in block order, :attr:`xp` (gathered from ``x``
-    once), the carried :attr:`h`, per-block views of both, and a d-vector
-    that every product is written into, so a step is three calls on prebuilt
-    arrays that allocate nothing: ``w = hv[k]`` is read by ``xv[k] += w`` and
-    by ``np.dot(w, C[k], out=tmp)`` before ``h -= tmp`` writes ``h``.  ``h``
-    is set to ``h_b - xp C`` (a d x d gemv) at the first epoch and then every
-    ``_REFRESH`` epochs; in between it drifts by rounding, at most
-    ``cond(A_k)`` per step.  Each epoch ends by scattering ``xp`` into ``x``
-    (O(d)).  The ``z`` passed in is not read: when it is an array, it is set
-    to ``b - a x`` at each epoch's end (an O(n d) gemv), and when it is
-    ``None``, no residual is formed and ``x`` is the same.
+    The state is the descent coordinates in block order, :attr:`y`; the
+    carried :attr:`h`; per-block views of both; and a buffer that every
+    product is written into, so a step is three calls on prebuilt arrays that
+    allocate nothing: ``w = h[l]`` is read by ``y[l] += w`` and by
+    ``np.dot(w, C[l], out=tmp)`` before ``h -= tmp`` writes ``h``.  ``h`` is
+    set to ``h0 - y C`` (a gemv on ``C``) at the first epoch and then every
+    ``_REFRESH`` epochs, with :attr:`h0` the ``h`` of ``y = 0``, taken once
+    per run; in between it drifts by rounding, at most ``cond(B_l)`` per
+    step.  ``rows`` are the operands and views of the row step that follows
+    each descent step (:meth:`_BasesDescent.start`), all ``None`` for
+    ``blockcd``, which has no row side; ``end`` writes the run's ``x`` and
+    ``z`` at each epoch's end.
     """
 
-    def __init__(self, descent: _PinvDescent, x, z):
-        self._descent, self._x, self._z = descent, x, z
-        self.xp = x[descent._perm]
-        self.h = np.empty(self.xp.size)
-        self._hv = [self.h[j] for j in descent._slices]
-        self._xv = [self.xp[j] for j in descent._slices]
-        self._tmp = np.empty(self.xp.size)
+    def __init__(self, engine, y, h0, end, rows=(None,) * 7):
+        self.y, self.h0, self.h = y, h0, np.empty(y.size)
+        self._c, self._cv, self._end, self._rows = engine._c, engine._cv, end, rows
+        self._hv = [self.h[j] for j in engine._slices]
+        self._yv = [y[j] for j in engine._slices]
+        self._tmp = np.empty(y.size)
         self._epochs = 0
 
     def __call__(self, indices) -> None:
-        d, h, xp, hv, xv, tmp = self._descent, self.h, self.xp, self._hv, self._xv, self._tmp
-        cv, dot, subtract = d._cv, np.dot, np.subtract
+        h, y, hv, yv, cv, tmp = self.h, self.y, self._hv, self._yv, self._cv, self._tmp
+        dot, add, subtract = np.dot, np.add, np.subtract
         if self._epochs % _REFRESH == 0:
-            subtract(d._hb, dot(xp, d._c, out=tmp), out=h)
+            subtract(self.h0, dot(y, self._c, out=tmp), out=h)
         self._epochs += 1
-        for k in indices[0]:
-            w = hv[k]
-            xv[k] += w
-            subtract(h, dot(w, cv[k], out=tmp), out=h)
-        self._x[d._perm] = xp
-        if self._z is not None:
-            subtract(d._b, dot(d._a, self._x), out=self._z)
+        folded, lifted, v, x1, zv, rv, dx = self._rows
+        # the column side draws indices[0]; indices[-1] is the row side's
+        # (blockcd has none: k is l, and unused)
+        for l, k in zip(indices[0], indices[-1]):
+            w = hv[l]
+            yv[l] += w
+            subtract(h, dot(w, cv[l], out=tmp), out=h)
+            if folded:
+                rk = dot(folded[k], v, out=rv[k])
+                subtract(rk, zv[k], out=rk)
+                add(x1, dot(rk, lifted[k], out=dx), out=x1)
+        self._end()
 
 
-class _BasesDescent(_Stateless):
+class _BasesDescent:
     """``double`` and ``hybrid``: per step, :class:`_PinvDescent`'s step on
     ``B = U``, the orthonormal bases ``U_l`` of the column blocks (of the
-    single columns, ``a_j / |a_j|``, when ``cols`` is ``None``), then the
-    folded step of its own :class:`_RowBlocks` on ``rows``.
+    single columns, ``a_j / |a_j|``, when ``cols`` is the column
+    :class:`NormSampler`), then the folded step of its own
+    :class:`_RowBlocks` on ``rows``.
 
     On the bases ``pinv(U_l) = U_l^T``, ``C = U^T U`` and ``h = U^T z``.  The
     coordinates ``t`` keep ``z = z_0 - U t`` as accurate as the projections
@@ -382,12 +399,12 @@ class _BasesDescent(_Stateless):
     appended, and drops the plans.
     """
 
-    def __init__(self, a, b, rows: BlockPlan, cols: BlockPlan | None):
+    def __init__(self, a, b, rows: BlockPlan, cols):
         self._a, self._cols, self._rows = a, cols, _RowBlocks(b, rows)
 
     def build(self) -> None:
-        if self._cols is None:
-            norms = np.sqrt(np.einsum("ij,ij->j", self._a, self._a))
+        if isinstance(self._cols, NormSampler):
+            norms = np.sqrt(self._cols.sq_norms)
             # a zero column has an empty basis: its steps leave z and t alone
             bases = [self._a[:, [j]] / nj if nj else self._a[:, :0] for j, nj in enumerate(norms)]
         else:
@@ -395,40 +412,32 @@ class _BasesDescent(_Stateless):
         self._cols = None
         self._slices = _slices([u.shape[1] for u in bases])
         self._ut = np.concatenate(bases, axis=1).T.copy()
-        c = self._ut @ self._ut.T
-        self._cv = [c[j] for j in self._slices]
+        self._c = self._ut @ self._ut.T
+        self._cv = [self._c[j] for j in self._slices]
         self._rows.build(self._ut.T)
         rows_of = self._rows.rows_of
         self._row_order, self._row_slices = np.concatenate(rows_of), _slices([len(i) for i in rows_of])
 
-    def __call__(self, indices, x, z) -> None:
-        """The steps ``indices``: per step, the descent step on ``t``, then the
-        row step.  ``z`` after the descent steps is ``z - U t``, so the row
-        residual ``(b - z - a x)_k`` is ``[b_k | -A_k | U_k] [1; x; t] - z_k``
-        for the ``z`` passed in, which is set to ``z - U t`` last.
-
-        Every step reads and writes prebuilt views: of ``h``, ``t``, ``C``'s
-        block rows, and of ``z`` gathered into row-block order once (the
-        steps do not write it), with each dot written into a buffer."""
-        cv, ut, dot, add, subtract = self._cv, self._ut, np.dot, np.add, np.subtract
-        folded, lifted = self._rows.folded, self._rows.lifted
-        v = np.concatenate(([1.0], x, np.zeros(ut.shape[0])))
+    def start(self, x, z) -> _DescentRun:
+        """A run on ``x`` and ``z`` from ``z_0``, the ``z`` passed in: its
+        :class:`_DescentRun` on ``t``, with ``h0 = U^T z_0``, and the row
+        step.  After the descent steps so far ``z = z_0 - U t``, so the row
+        residual ``(b - z - a x)_k`` is ``[b_k | -A_k | U_k] [1; x; t] -
+        (z_0)_k``: the run keeps ``v = [1; x; t]``, ``z_0`` gathered into
+        row-block order once, and a view of each for every block, and writes
+        each dot into a buffer.  Each epoch ends with ``x`` set from ``v`` and
+        ``z = z_0 - U t``, one n x d gemv."""
+        v = np.concatenate(([1.0], x, np.zeros(self._ut.shape[0])))
         x1, t = v[: x.size + 1], v[x.size + 1 :]
-        h = dot(ut, z)
-        hv, tv = [h[j] for j in self._slices], [t[j] for j in self._slices]
-        zr = z[self._row_order]
-        r = np.empty(zr.size)
+        z0, zr, r = z.copy(), z[self._row_order], np.empty(z.size)
         zv, rv = [zr[i] for i in self._row_slices], [r[i] for i in self._row_slices]
-        dh, dx = np.empty(h.size), np.empty(x1.size)
-        for l, k in zip(*indices):
-            w = hv[l]
-            tv[l] += w
-            subtract(h, dot(w, cv[l], out=dh), out=h)
-            rk = dot(folded[k], v, out=rv[k])
-            subtract(rk, zv[k], out=rk)
-            add(x1, dot(rk, lifted[k], out=dx), out=x1)
-        x[:] = x1[1:]
-        z -= dot(ut.T, t)
+        rows = (self._rows.folded, self._rows.lifted, v, x1, zv, rv, np.empty(x1.size))
+
+        def end() -> None:
+            x[:] = x1[1:]
+            np.subtract(z0, np.dot(self._ut.T, t), out=z)
+
+        return _DescentRun(self, t, np.dot(self._ut, z0), end, rows)
 
 
 def _slices(sizes) -> list[slice]:
@@ -586,9 +595,9 @@ class Kernel:
     The engine runs the drawn steps on ``x`` and ``z``; each has
     ``build()`` and ``start(x, z)``, which returns a run's epoch callable.
     The kernel holds no run's state, so runs can share it, even at once:
-    only ``blockcd``'s runs keep state between epochs
-    (:class:`_DescentRun`), the others call their
-    ``__call__(indices, x, z)``.  ``rk`` and ``rek`` (single rows and
+    the runs of ``blockcd``, ``double`` and ``hybrid`` are one
+    :class:`_DescentRun` each, which keeps its state between epochs, and
+    the others call their engine's ``__call__(indices, x, z)``.  ``rk`` and ``rek`` (single rows and
     columns only) run chunks of steps as triangular solves
     (:class:`_NormChunks`), a single step as a chunk of one.  ``blockcd``
     runs the descent of :class:`_PinvDescent`, ``block`` the folded step of
@@ -629,7 +638,7 @@ class Kernel:
         elif col_side is None:
             self._engine = _RowBlocks(b, rows)
         else:
-            self._engine = _BasesDescent(a, b, rows, cols)
+            self._engine = _BasesDescent(a, b, rows, self._picks[0] if cols is None else cols)
         self._built = False
 
     @classmethod
@@ -695,16 +704,17 @@ class Kernel:
             return rng.integers([p.n_blocks for p in picks], size=(steps, len(picks))).T.tolist()
         # norm and uniform draws interleave (hybrid): draw step by step
         ks = [[p.draw(rng) if w else int(rng.integers(p.n_blocks)) for p, w in zip(picks, weighted)] for _ in range(steps)]
-        return [list(k) for k in zip(*ks)]
+        return [[k[j] for k in ks] for j in range(len(picks))]
 
     def start(self, x: np.ndarray, z: np.ndarray | None):
         """A run on ``x`` and ``z``: a callable that runs the steps
         ``indices`` (as from :meth:`draw`) on them in place, one epoch per
         call.
 
-        The run owns what it carries between its epochs (``blockcd``: ``h``
-        and ``x`` in block order, ``h`` refreshed every ``_REFRESH`` epochs,
-        and ``x`` written at each epoch's end but never read back), so ``x``
+        The run owns what it carries between its epochs (``blockcd``,
+        ``double`` and ``hybrid``: the descent coordinates in block order and
+        ``h``, refreshed every ``_REFRESH`` epochs; ``x`` and, for the bases,
+        ``z`` are written at each epoch's end but never read back), so ``x``
         and ``z`` change only through the run's calls.
         """
         return self.build()._engine.start(x, z)
@@ -819,7 +829,8 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         started by :meth:`Kernel.start`, before the first epoch, and only
         when ``stop.max_epochs >= 1``; telemetry and stopping checks are
         excluded too.  Every epoch runs on that one started state, so
-        ``blockcd`` carries ``h`` and its block-ordered ``x`` across epochs.
+        ``blockcd``, ``double`` and ``hybrid`` carry ``h`` and their
+        block-ordered coordinates across epochs.
         ``residual_l2`` is ``norm(b - a x)``.  When the system has
         ``s_vt``, it is read off ``e = x - x_ls`` as
         ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, equal to the direct

@@ -144,26 +144,62 @@ def test_blockcd_matches_residual_space_steps_on_rank_deficient_blocks(problem):
         assert x[zero] == 0.0
 
 
-@pytest.mark.parametrize("strategy", [
-    problems().map(lambda p: (p[0].a, p[0].b, p[2], p[3])),
-    rank_deficient_columns().map(lambda p: (p[0], p[1], p[2], p[4])),
-], ids=["problems", "rank_deficient_columns"])
+def max_block_condition(plan):
+    """The worst condition number of ``plan``'s blocks over their numerical rank."""
+    facts = [f for f in plan.factorizations if f.rank]
+    return max(f.singular_values[0] / f.singular_values[f.rank - 1] for f in facts)
+
+
+# A descent run on its kernel, the bound of its h's drift (1e-12 times the
+# worst condition number of the blocks it descends on, 1 for the orthonormal
+# bases of double and hybrid), and a stream.
+DESCENT_RUNS = [
+    problems().map(lambda p: (Kernel(BLOCK_CD, p[0].a, p[0].b, cols=p[2]), max_block_condition(p[2]), p[3])),
+    rank_deficient_columns().map(lambda p: (Kernel(BLOCK_CD, p[0], p[1], cols=p[2]), max_block_condition(p[2]), p[4])),
+    problems().map(lambda p: (Kernel(DOUBLE, p[0].a, p[0].b, rows=p[1], cols=p[2]), 1.0, p[3])),
+    problems().map(lambda p: (Kernel(HYBRID, p[0].a, p[0].b, rows=p[1]), 1.0, p[3])),
+]
+DESCENT_IDS = ["problems", "rank_deficient_columns", "double-problems", "hybrid-problems"]
+
+
+def start_descent(kernel):
+    """A run started on ``kernel`` (built) at ``x = 0`` and ``z = b``."""
+    return kernel.build().start(np.zeros(kernel.a.shape[1]), kernel.b.copy())
+
+
+def epoch_steps(kernel):
+    return 2 * max(p.n_blocks for p in (kernel.row_partition, kernel.col_partition) if p is not None)
+
+
+@pytest.mark.parametrize("strategy", DESCENT_RUNS, ids=DESCENT_IDS)
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_blockcd_carried_h_stays_near_a_fresh_one(strategy, data):
     # A run carries h across epochs and recomputes it from its iterate only
     # every _REFRESH epochs; in between it may drift by rounding, which grows
     # with the worst block's condition number over its numerical rank.
-    a, b, plan, rng = data.draw(strategy)
-    facts = [f for f in plan.factorizations if f.rank]
-    tol = 1e-12 * max(f.singular_values[0] / f.singular_values[f.rank - 1] for f in facts)
-    kernel = Kernel(BLOCK_CD, a, b, cols=plan).build()
-    descent = kernel._engine
-    run_epoch = kernel.start(np.zeros(a.shape[1]), None)
+    kernel, cond, rng = data.draw(strategy)
+    run_epoch = start_descent(kernel)
+    tol = 1e-12 * cond
     for _ in range(2 * _REFRESH + 3):
-        run_epoch(kernel.draw(rng, 2 * plan.partition.n_blocks))
-        fresh = descent._hb - run_epoch.xp @ descent._c
-        assert np.linalg.norm(run_epoch.h - fresh) <= tol * np.linalg.norm(descent._hb)
+        run_epoch(kernel.draw(rng, epoch_steps(kernel)))
+        fresh = run_epoch.h0 - run_epoch.y @ kernel._engine._c
+        assert np.linalg.norm(run_epoch.h - fresh) <= tol * np.linalg.norm(run_epoch.h0)
+
+
+@pytest.mark.parametrize("strategy", DESCENT_RUNS, ids=DESCENT_IDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_descent_run_refreshes_h_every_refresh_epochs(strategy, data):
+    # After _REFRESH epochs of steps the next epoch starts by recomputing h
+    # from the iterate: an epoch of no steps then leaves exactly h0 - y C.
+    kernel, _, rng = data.draw(strategy)
+    run_epoch = start_descent(kernel)
+    for _ in range(_REFRESH):
+        run_epoch(kernel.draw(rng, epoch_steps(kernel)))
+    run_epoch(kernel.draw(rng, 0))
+    fresh = np.subtract(run_epoch.h0, np.dot(run_epoch.y, kernel._engine._c))
+    assert np.array_equal(run_epoch.h, fresh)
 
 
 @st.composite

@@ -756,6 +756,15 @@ def test_draw_matches_scalar_draws_in_turn(method):
             assert g_batch.random() == g_scalar.random()
 
 
+@pytest.mark.parametrize("method", STEP_METHODS)
+def test_draw_of_no_steps_gives_one_empty_list_per_side(method):
+    # an epoch of no steps still hands its engine one index list per side
+    sys_, _, row_plan, col_plan = mixed_setup()
+    kernel = step_kernel(method, sys_, row_plan, col_plan)
+    sides = 2 if method in (REK, DOUBLE, HYBRID) else 1
+    assert kernel.draw(np.random.default_rng(0), 0) == [[]] * sides
+
+
 class TestNoMutation:
     @pytest.mark.parametrize("method", STEP_METHODS)
     def test_step_wrappers_leave_inputs_alone(self, method):
