@@ -597,13 +597,14 @@ class Kernel:
     The kernel holds no run's state, so runs can share it, even at once:
     the runs of ``blockcd``, ``double`` and ``hybrid`` are one
     :class:`_DescentRun` each, which keeps its state between epochs, and
-    the others call their engine's ``__call__(indices, x, z)``.  ``rk`` and ``rek`` (single rows and
-    columns only) run chunks of steps as triangular solves
-    (:class:`_NormChunks`), a single step as a chunk of one.  ``blockcd``
-    runs the descent of :class:`_PinvDescent`, ``block`` the folded step of
-    :class:`_RowBlocks`, and ``double`` and ``hybrid`` the descent on the
-    column blocks' bases with its own folded row step
-    (:class:`_BasesDescent`): ``hybrid``'s descent runs on single columns.
+    the others call their engine's ``__call__(indices, x, z)``.  ``rk``
+    and ``rek`` (single rows and columns only) run chunks of steps as
+    triangular solves (:class:`_NormChunks`), a single step as a chunk of
+    one.  ``blockcd`` runs the descent of :class:`_PinvDescent`, ``block``
+    the folded step of :class:`_RowBlocks`, and ``double`` and ``hybrid``
+    the descent on the column blocks' bases with its own folded row step
+    (:class:`_BasesDescent`): ``hybrid``'s descent runs on single columns,
+    on the column norms of its :class:`NormSampler`.
     Each step is only its BLAS calls on operands that :meth:`build` made for
     every block, once, before the first step.
 
