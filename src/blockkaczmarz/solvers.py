@@ -28,8 +28,8 @@ Five methods share one run loop:
     partition is needed, and only the coordinates of the chosen column block
     change per step.  Steps run on the blocks' pseudoinverse images of the
     residual, ``pinv(A_l) (b - a x)``, O(d c) each for blocks of ``c``
-    columns; the blocks are factored on the ``min(n, d) x d`` triangular
-    factor of the system, not on ``a`` (:meth:`Kernel.for_config`).
+    columns; the blocks are factored on the system's ``min(n, d) x d``
+    range factor ``r``, not on ``a`` (:meth:`Kernel.for_config`).
     ``z = b - a @ x`` is formed at the end of an epoch only when
     one is passed in: :meth:`Kernel.step` always passes one, and :func:`run`
     none, since only its telemetry would read it.
@@ -80,7 +80,7 @@ import numpy as np
 
 from .linalg import SvdFactorization, as_vector, svd_factor
 from .paving import COLUMNS, ROWS, Partition, block_submatrices
-from .systems import LinearSystem, reduced_factor
+from .systems import LinearSystem
 
 RK = "rk"
 REK = "rek"
@@ -270,9 +270,9 @@ class _PinvDescent:
     ``h_b = [pinv(A_l) b]_l``, and for any ``Q`` with orthonormal columns and
     ``a = Q F``, they are ``pinv(F_l) F_k`` and ``pinv(F_l) Q^T b``.  So
     ``cols`` plans the column blocks of such an ``F`` and ``qtb`` is
-    ``Q^T b``: :meth:`Kernel.for_config` plans them on the ``k x d`` factor
-    ``R`` of :func:`~blockkaczmarz.systems.reduced_factor`, ``k = min(n, d)``,
-    with ``qtb = c``, and a plan of ``a`` itself takes ``qtb = b``.
+    ``Q^T b``: :meth:`Kernel.for_config` plans them on the system's
+    ``k x d`` range factor ``R = system.r``, ``k = min(n, d)``, with
+    ``qtb = system.c``, and a plan of ``a`` itself takes ``qtb = b``.
     ``M_lk = V_l S_l^-1 (U_l^T U_k) S_k V_k^T`` is built from the blocks' SVD
     factors, so the overlap ``U_l^T U_k`` is ``k x k`` on ``R``, not
     ``n x n``.  The ``U_l`` are orthonormal, so rounding in ``h`` grows by
@@ -647,19 +647,16 @@ class Kernel:
         """The kernel of ``config``'s method on ``system``, with a
         :func:`make_block_plan` for each of its partitions.
 
-        ``blockcd`` plans its column blocks on the ``k x d`` factor ``R`` of
-        :func:`~blockkaczmarz.systems.reduced_factor` (``k = min(n, d)``),
-        read off the system's ``T`` or computed for a system without one,
-        and descends against ``c``; the kernel keeps neither ``R`` nor
-        ``T``.  Every other method plans ``a``'s blocks: its steps read
-        ``a``'s rows or live in ``n``-space.
+        ``blockcd`` plans its column blocks on the system's ``k x d`` range
+        factor ``r`` (``k = min(n, d)``) and descends against its ``c``; the
+        kernel keeps only copies of ``r``'s blocks, and neither ``r`` nor
+        ``c`` once built.  Every other method plans ``a``'s blocks: its
+        steps read ``a``'s rows or live in ``n``-space.
 
         Raises :class:`ConfigError` when ``config`` does not fit ``system``.
         """
         config.validate(system.n_rows, system.n_cols)
-        a, qtb = system.a, None
-        if config.method == BLOCK_CD:
-            a, qtb = reduced_factor(system)
+        a, qtb = (system.r, system.c) if config.method == BLOCK_CD else (system.a, None)
         plan = lambda part: None if part is None else make_block_plan(a, part)
         return cls(config.method, system.a, system.b, rows=plan(config.row_partition), cols=plan(config.col_partition),
                    qtb=qtb)
@@ -795,7 +792,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-# Epochs of e = x - x_ls that a run with ``s_vt`` keeps for one product.
+# Epochs of e = x - x_ls that a run with an oracle keeps for one product.
 _BATCH = 512
 
 
@@ -833,17 +830,18 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         ``blockcd``, ``double`` and ``hybrid`` carry ``h`` and their
         block-ordered coordinates across epochs.
         ``residual_l2`` is ``norm(b - a x)``.  When the system has
-        ``s_vt``, it is read off ``e = x - x_ls`` as
-        ``sqrt(norm(b_perp)**2 + norm(s_vt @ e)**2)``, equal to the direct
-        norm up to rounding, and ``blockcd``'s ``z_error_l2`` is
-        ``norm(s_vt @ e)``.  Such a run stops on its error, and nothing
-        reads its residual before it ends: each epoch's ``e`` goes into a
-        column of a d x W buffer of the run's own,
-        ``W = min(stop.max_epochs + 1, _BATCH)``, and one product
-        ``s_vt @ E`` gives the norms of all its epochs when the buffer is
-        full and when the run ends.  Otherwise the residual is computed
-        directly every epoch, exactly, and ``blockcd``'s ``z_error_l2``
-        (with an oracle) is ``norm(b - a x - b_perp)``.  ``blockcd``'s
+        ``x_ls``, it is read off the system's range factor: with
+        ``e = x - x_ls`` and ``g_ls = c - r x_ls``, it is
+        ``sqrt(tau**2 + norm(g_ls - r e)**2)``, equal to the direct norm up
+        to rounding whatever the oracle's rank cutoff, and ``blockcd``'s
+        ``z_error_l2``, ``norm(a e)``, is ``norm(r e)``.  Such a run stops on
+        its error, and nothing reads its residual before it ends: each
+        epoch's ``e`` goes into a column of a d x (W + 1) buffer of the
+        run's own, after ``x_ls``, ``W = min(stop.max_epochs + 1, _BATCH)``,
+        and one product ``r @ [x_ls | E]`` gives ``g_ls`` and the norms of
+        all its epochs when the buffer is full and when the run ends.
+        Without ``x_ls`` the residual is computed directly every epoch,
+        exactly, and ``blockcd`` has no ``z_error_l2``.  ``blockcd``'s
         steps form no ``z``.  The rows are made when the run ends.
     """
     a, b = system.a, system.b
@@ -867,53 +865,49 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     # one plain float (or None) per epoch; the rows are made once the run ends
     errors, residuals, z_errors, cpus = [], [], [], []
 
-    error_based = error_fn is not None or system.x_ls is not None
-    s_vt = system.s_vt
-    if s_vt is not None:
-        # b - a x = b_perp - u (s_vt e) with b_perp orthogonal to the range of
-        # u; nothing reads the residual before the run ends, so the e of each
-        # epoch waits in a column of `pending` for one product of many epochs
-        perp_sq = system.b_perp.dot(system.b_perp)
-        pending = np.empty((system.n_cols, min(stop.max_epochs + 1, _BATCH)), order="F")
+    x_ls = system.x_ls
+    error_based = error_fn is not None or x_ls is not None
+    if x_ls is not None:
+        # b - a x = Q (g_ls - r e) + (tau's part) with g_ls = c - r x_ls;
+        # nothing reads the residual before the run ends, so the e of each
+        # epoch waits in a column of `pending`, after x_ls, for one product
+        tau_sq = system.tau * system.tau
+        pending = np.empty((system.n_cols, min(stop.max_epochs + 1, _BATCH) + 1), order="F")
+        pending[:, 0] = x_ls
     if method == BLOCK_CD:
         z = None  # only telemetry would read it: record forms the residual
 
     def flush() -> None:
         """The residuals (and ``blockcd``'s z errors) of the pending epochs."""
-        g = np.dot(s_vt, pending[:, : len(errors) - len(residuals)])
-        for sq in np.multiply(g, g, out=g).sum(axis=0).tolist():
-            range_err = math.sqrt(sq)
-            residuals.append(math.sqrt(perp_sq + range_err * range_err))
-            if method == BLOCK_CD:
-                z_errors.append(range_err)
+        g = np.dot(system.r, pending[:, : len(errors) - len(residuals) + 1])
+        g_ls, g = system.c - g[:, 0], g[:, 1:]
+        if method == BLOCK_CD:
+            z_errors.extend(np.sqrt(np.einsum("ij,ij->j", g, g)).tolist())
+        np.subtract(g_ls[:, None], g, out=g)
+        residuals.extend(np.sqrt(tau_sq + np.einsum("ij,ij->j", g, g)).tolist())
 
     def record() -> float:
-        if s_vt is not None:
-            column = len(errors) - len(residuals)
+        if x_ls is not None:
+            column = len(errors) - len(residuals) + 1
             e = pending[:, column]
-            np.subtract(x, system.x_ls, out=e)
-        else:
-            e = None if system.x_ls is None else x - system.x_ls
+            np.subtract(x, x_ls, out=e)
         if error_fn is not None:
             err = float(error_fn(x))
-        elif e is not None:
+        elif x_ls is not None:
             err = _norm(e)
         else:
             err = float("nan")
         errors.append(err)
         cpus.append(solver_cpu)
-        if s_vt is not None:
+        if x_ls is not None:
             resid = None  # read off `pending` by flush
             if column + 1 == pending.shape[1]:
                 flush()
         else:
-            r = b - np.dot(a, x)
-            resid = _norm(r)
+            resid = _norm(b - np.dot(a, x))
             residuals.append(resid)
-            if method == BLOCK_CD:
-                z_errors.append(None if system.b_perp is None else _norm(r - system.b_perp))
-        if method != BLOCK_CD:
-            z_errors.append(None if z is None or system.b_perp is None else _norm(z - system.b_perp))
+        if method != BLOCK_CD or x_ls is None:
+            z_errors.append(None if z is None or x_ls is None else _norm(z - system.b_perp))
         return err if error_based else resid
 
     metric = record()

@@ -170,7 +170,7 @@ class TestGenerateSystem:
         b = a @ x + e * (spec.residual_norm / np.linalg.norm(e))
         ref = attach_oracle(make_system(a, b, with_oracle=False), linalg.svd_factor(a), b)
         sys_ = generate_system(spec)
-        for name in ("a", "b", "x_ls", "b_range", "b_perp", "s_vt"):
+        for name in ("a", "b", "r", "c", "tau", "x_ls", "b_range", "b_perp"):
             assert np.array_equal(getattr(sys_, name), getattr(ref, name)), name
         assert sys_.spectral == ref.spectral
 

@@ -27,7 +27,7 @@ from blockkaczmarz.solvers import (
     make_block_plan,
     run,
 )
-from blockkaczmarz.systems import make_system, reduced_factor
+from blockkaczmarz.systems import make_system
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -347,8 +347,9 @@ def telemetry_problems(draw):
 @PROPERTY_SETTINGS
 @given(telemetry_problems())
 def test_trace_telemetry_matches_direct_norms(method, problem):
-    # With an oracle the trace reads the residual off s_vt (x - x_ls); every
-    # row must agree with the direct norms of the iterate of that epoch.
+    # With an oracle the trace reads the residual off the range factor
+    # (tau, c - r x_ls and r (x - x_ls)); every row must agree with the
+    # direct norms of the iterate of that epoch.
     system, rows, cols, seed = problem
     config = MethodConfig(method, row_partition=rows if method in (BLOCK, DOUBLE, HYBRID) else None,
                           col_partition=cols if method in (DOUBLE, BLOCK_CD) else None, seed=seed)
@@ -370,11 +371,12 @@ def test_trace_telemetry_matches_direct_norms(method, problem):
 ], ids=["problems", "rank_deficient_columns", "tall_or_wide"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_reduced_factor_gives_the_oracle_and_descent_of_a(strategy, data):
-    # make_system and blockcd's kernel work on R and c from the QR of [a | b]:
-    # each quantity must match the one taken from a itself.  The bounds are
-    # 450 eps on the scale each quantity's rounding has: sigma_max for the
-    # singular values and s_vt; kappa (|x| + |b| / sigma_r) for x_ls (the
+def test_range_factor_gives_the_oracle_and_descent_of_a(strategy, data):
+    # make_system, the telemetry and blockcd's kernel work on r, c and tau
+    # from the QR of [a | b]: each quantity must match the one taken from a
+    # itself.  The bounds are 450 eps on the scale each quantity's rounding
+    # has: sigma_max for the singular values and |r e|; sigma_max |x| + |b|
+    # for the residual of x; kappa (|x| + |b| / sigma_r) for x_ls (the
     # least-squares perturbation bound, kappa over the numerical rank); and
     # kappa_b^2 for C and kappa_b^2 |b| / sigma_max for h_b, with
     # kappa_b = sigma_max(a) / (the smallest kept singular value of any block).
@@ -385,7 +387,8 @@ def test_reduced_factor_gives_the_oracle_and_descent_of_a(strategy, data):
     rank = int(np.count_nonzero(s_a > DEFAULT_RANK_TOLERANCE * s_a[0]))
     kappa = s_a[0] / s_a[rank - 1]
 
-    r, c = reduced_factor(system)
+    r, c = system.r, system.c
+    assert r.flags.c_contiguous
     assert r.shape == c.shape + (a.shape[1],) == (min(a.shape), a.shape[1])
     s_r = svd_factor(r).singular_values
     assert np.max(np.abs(s_r - s_a[: s_r.size])) <= tol * s_a[0]
@@ -394,9 +397,11 @@ def test_reduced_factor_gives_the_oracle_and_descent_of_a(strategy, data):
     x_ref = np.linalg.lstsq(a, b, rcond=DEFAULT_RANK_TOLERANCE)[0]
     scale = kappa * (np.linalg.norm(x_ref) + np.linalg.norm(b) / s_a[rank - 1])
     assert np.linalg.norm(system.x_ls - x_ref) <= tol * scale
-    if system.s_vt is not None:
-        e = rng.standard_normal(a.shape[1])
-        assert abs(np.linalg.norm(system.s_vt @ e) - np.linalg.norm(a @ e)) <= tol * s_a[0] * np.linalg.norm(e)
+    x = rng.standard_normal(a.shape[1])
+    resid = np.hypot(system.tau, np.linalg.norm(c - r @ x))
+    assert abs(resid - np.linalg.norm(b - a @ x)) <= tol * (s_a[0] * np.linalg.norm(x) + np.linalg.norm(b))
+    e = rng.standard_normal(a.shape[1])
+    assert abs(np.linalg.norm(r @ e) - np.linalg.norm(a @ e)) <= tol * s_a[0] * np.linalg.norm(e)
 
     kernel = Kernel.for_config(system, MethodConfig(BLOCK_CD, col_partition=part)).build()
     direct = Kernel(BLOCK_CD, a, b, cols=make_block_plan(a, part)).build()
@@ -454,8 +459,8 @@ def test_one_built_kernel_serves_runs_like_fresh_kernels(method, problem):
     config = MethodConfig(method, row_partition=rows, col_partition=cols)
     stop = StopRule(max_epochs=4, error_threshold=1e-300)
     fresh_runs = [run(system, replace(config, seed=s), stop) for s in seeds]
-    # planned as Kernel.for_config plans them: blockcd's on the reduced factor
-    src, qtb = reduced_factor(system) if method == BLOCK_CD else (system.a, None)
+    # planned as Kernel.for_config plans them: blockcd's on the range factor
+    src, qtb = (system.r, system.c) if method == BLOCK_CD else (system.a, None)
     plans = [None if part is None else make_block_plan(src, part) for part in (rows, cols)]
     fresh_steps = step_states(Kernel(method, system.a, system.b, *plans, qtb=qtb), system, method, seeds[0])
 

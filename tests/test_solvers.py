@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockkaczmarz import solvers, systems
+from blockkaczmarz import solvers
 from blockkaczmarz.harness import MethodSetting, prepare_method
 from blockkaczmarz.linalg import pinv_apply
 from blockkaczmarz.paving import COLUMNS, ROWS, Partition, paving_bounds, random_partition
@@ -463,7 +463,7 @@ class TestRun:
         assert np.array_equal(t1.final_x, t2.final_x)
 
     def test_blockcd_residual_is_b_minus_a_x(self, rng):
-        # without an oracle the trace reads blockcd's residual off z: it must be exactly b - a x
+        # without an oracle the trace computes blockcd's residual directly: it must be exactly b - a x
         oracle = small_system(rng, inconsistent=True)
         sys_ = make_system(oracle.a, oracle.b, with_oracle=False)
         config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
@@ -472,7 +472,7 @@ class TestRun:
             assert trace.rows[-1].residual_l2 == np.linalg.norm(sys_.b - sys_.a @ trace.final_x)
 
     def test_blockcd_oracle_residual_is_b_minus_a_x_to_rounding(self, rng):
-        # with an oracle the residual and z error come from s_vt (x - x_ls), up to rounding
+        # with an oracle the residual and z error come from r (x - x_ls), c and tau, up to rounding
         sys_ = small_system(rng, inconsistent=True)
         config = MethodConfig(BLOCK_CD, col_partition=random_partition(10, 3, rng, axis=COLUMNS), seed=0)
         tol = 1e-12 * np.linalg.norm(sys_.b)
@@ -928,24 +928,20 @@ class TestSharedKernel:
             assert trace_rows(shared) == trace_rows(ref)
             assert np.array_equal(shared.final_x, ref.final_x)
 
-    def test_blockcd_kernel_lets_the_triangular_factor_go(self, monkeypatch):
-        # a system without T gets one for blockcd's plans; the kernel keeps
-        # only copies of R's blocks and of c, so T is freed
+    def test_blockcd_kernel_lets_the_range_factor_go(self):
+        # blockcd plans on the system's r and descends against its c; the
+        # built kernel keeps only copies of r's blocks, so once the system
+        # is dropped r is freed, and the kernel still steps
         sys_, configs, _, _ = mixed_setup()
-        system = make_system(sys_.a, sys_.b, with_oracle=False)
-        refs, real = [], systems.triangular_factor
-
-        def recording(a, b):
-            t = real(a, b)
-            refs.append(weakref.ref(t))
-            return t
-
-        monkeypatch.setattr(systems, "triangular_factor", recording)
+        a, b = sys_.a, sys_.b
+        system = make_system(a, b, with_oracle=False)
         kernel = Kernel.for_config(system, configs[BLOCK_CD]).build()
-        assert len(refs) == 1 and refs[0]() is None
-        x = np.zeros(system.n_cols)
+        ref = weakref.ref(system.r)
+        del system
+        assert ref() is None
+        x = np.zeros(a.shape[1])
         kernel.apply(x, None, kernel.draw(np.random.default_rng(0), 9))
-        assert np.linalg.norm(system.b - system.a @ x) < np.linalg.norm(system.b)
+        assert np.linalg.norm(b - a @ x) < np.linalg.norm(b)
 
     def test_kernel_takes_no_part_in_config_equality(self):
         sys_, configs, _, _ = mixed_setup()
@@ -1043,16 +1039,25 @@ def assert_direct_telemetry(system, config, trace):
             assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol
 
 
+def coarse_cutoff_system(rng):
+    """A 20 x 6 system whose oracle, at rank tolerance 1e-3, drops a singular
+    value of 0.9e-3 that b has a share along."""
+    u = np.linalg.qr(rng.standard_normal((20, 6)))[0]
+    v = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    a = (u * np.array([1.0, 0.8, 0.6, 0.4, 0.2, 0.9e-3])) @ v.T
+    return make_system(a, u[:, 5] + 0.1 * rng.standard_normal(20), rank_tolerance=1e-3)
+
+
 class TestBatchedTelemetry:
-    """A run on a system with ``s_vt`` keeps each epoch's ``x - x_ls`` and
-    reads the residuals off one product per ``_BATCH`` epochs; with
+    """A run on a system with ``x_ls`` keeps each epoch's ``x - x_ls`` and
+    reads the residuals off one product with ``r`` per ``_BATCH`` epochs; with
     ``_BATCH`` = 3 a run takes several products, and its rows must be those
     of a run that takes one."""
 
     @pytest.mark.parametrize("method", STEP_METHODS)
     def test_run_over_three_products_stopping_part_way_through_one(self, method, monkeypatch):
         sys_, configs, _, _ = mixed_setup(4)
-        assert sys_.s_vt is not None
+        assert sys_.x_ls is not None
         config = configs[method]
         # a threshold that epoch t is the first to reach, with t past the
         # second product and not at the end of one
@@ -1078,9 +1083,25 @@ class TestBatchedTelemetry:
         assert_direct_telemetry(sys_, configs[method], trace)
 
     @pytest.mark.parametrize("method", [RK, BLOCK_CD])
+    def test_coarse_oracle_cutoff(self, method, monkeypatch):
+        # x_ls misses a direction above rounding, so b_perp is not orthogonal
+        # to a's range: the product with r must still give the exact norms
+        sys_ = coarse_cutoff_system(np.random.default_rng(8))
+        assert sys_.spectral.sigma_min_nonzero == pytest.approx(0.2)
+        config = MethodConfig(method, col_partition=whole_partition(6, COLUMNS) if method == BLOCK_CD else None,
+                              seed=0)
+        stop = StopRule(max_epochs=8, error_threshold=1e-300)
+        reference = run(sys_, config, stop)
+        monkeypatch.setattr(solvers, "_BATCH", 3)
+        trace = run(sys_, config, stop)
+        assert len(trace.rows) == 9
+        assert_same_telemetry(trace, reference)
+        assert_direct_telemetry(sys_, config, trace)
+
+    @pytest.mark.parametrize("method", [RK, BLOCK_CD])
     def test_converged_at_epoch_zero(self, method, monkeypatch):
         sys_ = make_system(np.eye(3), np.zeros(3))
-        assert sys_.s_vt is not None
+        assert sys_.x_ls is not None
         config = MethodConfig(method, col_partition=whole_partition(3, COLUMNS) if method == BLOCK_CD else None)
         monkeypatch.setattr(solvers, "_BATCH", 3)
         trace = run(sys_, config, StopRule(max_epochs=10, error_threshold=1e-12))
@@ -1091,10 +1112,10 @@ class TestBatchedTelemetry:
     @pytest.mark.parametrize("method, blocks", [(REK, {}), (BLOCK_CD, {"col_blocks": 3})])
     def test_error_fn_arm(self, method, blocks, monkeypatch):
         # a column-standardized arm (figd): errors from its error_fn, the
-        # residual from the standardized system's s_vt
+        # residual from the standardized system's range factor
         sys_, _, _, _ = mixed_setup(7)
         prep = prepare_method(sys_, MethodSetting(method, standardize_columns=True, **blocks), 3)
-        assert prep.error_fn is not None and prep.solve_system.s_vt is not None
+        assert prep.error_fn is not None and prep.solve_system.x_ls is not None
         stop = StopRule(max_epochs=8, error_threshold=1e-300)
         reference = run(prep.solve_system, prep.config, stop, error_fn=prep.error_fn)
         monkeypatch.setattr(solvers, "_BATCH", 3)
