@@ -95,6 +95,7 @@ def make_system(
     t, k = np.linalg.qr(np.column_stack((a, b)), mode="r"), min(a.shape)
     system = LinearSystem(a=a, b=b, r=np.ascontiguousarray(t[:k, :-1]), c=t[:k, -1].copy(),
                           tau=float(np.linalg.norm(t[k:, -1])), x_ls=None, spectral=None, b_range=None, b_perp=None)
+    del t  # the system keeps copies only: free T before the SVD
     if not with_oracle:
         return system
     return attach_oracle(system, svd_factor(system.r, rank_tolerance), system.c)
