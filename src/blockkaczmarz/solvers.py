@@ -868,9 +868,10 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
     x_ls = system.x_ls
     error_based = error_fn is not None or x_ls is not None
     if x_ls is not None:
-        # b - a x = Q (g_ls - r e) + (tau's part) with g_ls = c - r x_ls;
-        # nothing reads the residual before the run ends, so the e of each
-        # epoch waits in a column of `pending`, after x_ls, for one product
+        # |b - a x|^2 = tau^2 + |c - r x|^2 and c - r x = g_ls - r e, with
+        # g_ls = c - r x_ls; nothing reads the residual before the run ends,
+        # so the e of each epoch waits in a column of `pending`, after x_ls,
+        # for one product r @ [x_ls | E]
         tau_sq = system.tau * system.tau
         pending = np.empty((system.n_cols, min(stop.max_epochs + 1, _BATCH) + 1), order="F")
         pending[:, 0] = x_ls
@@ -906,7 +907,7 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         else:
             resid = _norm(b - np.dot(a, x))
             residuals.append(resid)
-        if method != BLOCK_CD or x_ls is None:
+        if method != BLOCK_CD or x_ls is None:  # else flush gives blockcd's
             z_errors.append(None if z is None or x_ls is None else _norm(z - system.b_perp))
         return err if error_based else resid
 
