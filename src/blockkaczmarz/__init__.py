@@ -11,7 +11,7 @@ method, and a seeded benchmark harness.
 from .linalg import (
     SpectralSummary,
     SvdFactorization,
-    pinv_apply,
+    min_norm_lstsq,
     spectral_summary,
     svd_factor,
 )

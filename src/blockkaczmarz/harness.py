@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import svd_factor
 from .paving import COLUMNS, ROWS, column_standardize, paving_bounds, random_partition, row_standardize, unscale_solution
-from .systems import LinearSystem, attach_oracle, make_system
+from .systems import LinearSystem, make_system
 from .solvers import (BLOCK, BLOCK_CD, DOUBLE, HYBRID, REK, RK, ConfigError, Kernel, MethodConfig, StopRule, Trace,
                       _partitions_taken, epoch_length, run)
 from . import theory
@@ -57,18 +56,16 @@ def _gaussian_nonzero_rows(n: int, d: int, rng: np.random.Generator) -> np.ndarr
 
 def _planted_inconsistent(a: np.ndarray, x: np.ndarray, norm: float, rng: np.random.Generator) -> LinearSystem:
     """The system ``a @ x + e``, with ``e`` Gaussian noise projected off the range
-    of ``a`` and rescaled to ``norm``; one SVD of ``a`` serves the projection
-    and the oracle."""
-    fact = svd_factor(a)
-    u = fact.u[:, : fact.rank]
+    of ``a`` by the ``Q`` of its QR (``a`` has full column rank) and rescaled
+    to ``norm``."""
+    q = np.linalg.qr(a)[0]
     while True:
         g = rng.standard_normal(a.shape[0])
-        e = g - u @ (u.T @ g)
+        e = g - q @ (q.T @ g)
         e_norm = np.linalg.norm(e)
         if e_norm > 1e-12:
             break
-    b = a @ x + e * (norm / e_norm)
-    return attach_oracle(make_system(a, b, with_oracle=False), fact, b)
+    return make_system(a, a @ x + e * (norm / e_norm))
 
 
 def gen_gaussian_rowstd(n: int, d: int, rng: np.random.Generator) -> LinearSystem:

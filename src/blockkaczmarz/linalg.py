@@ -42,8 +42,8 @@ class SvdFactorization:
     """Thin SVD ``a = u @ diag(s) @ v.T`` with a numerical-rank cutoff.
 
     ``u`` and ``v`` have orthonormal columns, ``singular_values`` is
-    nonincreasing, and ``rank`` counts the singular values above the cutoff
-    :func:`svd_factor` was given.
+    nonincreasing, and ``rank`` counts the singular values above
+    ``DEFAULT_RANK_TOLERANCE * s_max``.
     """
 
     u: np.ndarray
@@ -52,15 +52,9 @@ class SvdFactorization:
     rank: int
 
 
-def svd_factor(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SvdFactorization:
-    """Factor ``a`` by a thin SVD.
-
-    Parameters
-    ----------
-    a : (n, d) array
-    rank_tolerance : float in [0, 1)
-        Singular values at or below ``rank_tolerance * s_max`` are treated as
-        zero when the factorization is used to apply the pseudoinverse.
+def svd_factor(a: np.ndarray) -> SvdFactorization:
+    """Factor ``a`` by a thin SVD; its rank counts the singular values above
+    ``DEFAULT_RANK_TOLERANCE * s_max``.
 
     Raises
     ------
@@ -69,41 +63,57 @@ def svd_factor(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) ->
         converge (no silent garbage).
     """
     a = as_matrix(a)
-    u, s, vt = _svd(a, rank_tolerance, compute_uv=True)
-    return SvdFactorization(u=u, singular_values=s, v=vt.T, rank=_numerical_rank(s, rank_tolerance))
+    u, s, vt = _svd(a, compute_uv=True)
+    return SvdFactorization(u=u, singular_values=s, v=vt.T, rank=_numerical_rank(s))
 
 
-def _svd(a: np.ndarray, rank_tolerance: float, compute_uv: bool):
-    """``np.linalg.svd`` of a validated ``a``, thin, with the tolerance checked
-    and a convergence failure raised as ``ValueError``."""
-    if not 0.0 <= rank_tolerance < 1.0:
-        raise ValueError(f"rank_tolerance must lie in [0, 1), got {rank_tolerance}")
+def _svd(a: np.ndarray, compute_uv: bool):
+    """``np.linalg.svd`` of a validated ``a``, thin, with a convergence failure
+    raised as ``ValueError``."""
     try:
         return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed to converge for {a.shape[0]}x{a.shape[1]} matrix") from exc
 
 
-def _numerical_rank(s: np.ndarray, rank_tolerance: float) -> int:
-    """Number of singular values above ``rank_tolerance * s[0]``."""
-    cutoff = rank_tolerance * s[0] if s.size else 0.0
+def _numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values above ``DEFAULT_RANK_TOLERANCE * s[0]``."""
+    cutoff = DEFAULT_RANK_TOLERANCE * s[0] if s.size else 0.0
     return int(np.count_nonzero(s > cutoff))
 
 
-def pinv_apply(fact: SvdFactorization, v: np.ndarray) -> np.ndarray:
-    """Apply the pseudoinverse of the factored matrix to ``v``.
+def min_norm_lstsq(a: np.ndarray, v: np.ndarray,
+                   rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> tuple[np.ndarray, np.ndarray, int]:
+    """The minimum-norm least-squares solution of ``a x = v``, with ``a``'s
+    singular values and numerical rank, from one rank-revealing LAPACK solve
+    (``gelsd``); no singular vector is formed.
 
-    Only singular values above the factorization's rank cutoff are inverted;
-    components along discarded directions are dropped, so the result is the
-    minimum-norm least-squares solution of ``a x = v``.
+    Singular values at or below ``rank_tolerance * s_max`` are treated as
+    zero, the rule of :func:`svd_factor` at its default: components of ``v``
+    along the dropped directions do not reach ``x``.
+
+    Returns
+    -------
+    x : (d,) array
+    singular_values : (min(n, d),) nonincreasing array
+    rank : int
+
+    Raises
+    ------
+    ValueError
+        On invalid input, on a ``rank_tolerance`` outside [0, 1), and if the
+        underlying LAPACK iteration fails to converge.
     """
-    if v.shape[0] != fact.u.shape[0]:
-        raise ValueError(f"dimension mismatch: factorization has {fact.u.shape[0]} rows, vector has {v.shape[0]}")
-    r = fact.rank
-    if r == 0:
-        return np.zeros(fact.v.shape[0])
-    coeff = (fact.u[:, :r].T @ v) / fact.singular_values[:r]
-    return fact.v[:, :r] @ coeff
+    a, v = as_matrix(a), as_vector(v)
+    if not 0.0 <= rank_tolerance < 1.0:
+        raise ValueError(f"rank_tolerance must lie in [0, 1), got {rank_tolerance}")
+    if v.shape[0] != a.shape[0]:
+        raise ValueError(f"dimension mismatch: matrix has {a.shape[0]} rows, vector has {v.shape[0]}")
+    try:
+        x, _, rank, s = np.linalg.lstsq(a, v, rcond=rank_tolerance)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"least-squares SVD failed to converge for {a.shape[0]}x{a.shape[1]} matrix") from exc
+    return x, s, int(rank)
 
 
 @dataclass(frozen=True)
@@ -122,27 +132,20 @@ class SpectralSummary:
     scaled_condition: float
 
 
-def spectral_summary(a: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SpectralSummary:
+def spectral_summary(a: np.ndarray) -> SpectralSummary:
     """Compute :class:`SpectralSummary` for a nonzero matrix.
 
     Only the singular values are computed, not the singular vectors; the rank
     rule is :func:`svd_factor`'s.
     """
     a = as_matrix(a)
-    s = _svd(a, rank_tolerance, compute_uv=False)
-    return _summarize(a, s, _numerical_rank(s, rank_tolerance))
-
-
-def summarize_factorization(a: np.ndarray, fact: SvdFactorization) -> SpectralSummary:
-    """:class:`SpectralSummary` of ``a`` read off its factorization ``fact``.
-
-    Only the Frobenius norm is taken from ``a`` itself; the singular values
-    come from ``fact``, so no second SVD is computed.
-    """
-    return _summarize(a, fact.singular_values, fact.rank)
+    s = _svd(a, compute_uv=False)
+    return _summarize(a, s, _numerical_rank(s))
 
 
 def _summarize(a: np.ndarray, s: np.ndarray, rank: int) -> SpectralSummary:
+    """:class:`SpectralSummary` of ``a`` from its nonincreasing singular values
+    ``s`` and numerical rank; only the Frobenius norm is read off ``a``."""
     if rank == 0:
         raise ValueError("spectral summary undefined for the zero matrix")
     sigma_max = float(s[0])

@@ -15,7 +15,9 @@ upper-trapezoidal factor, ``r = T[:k, :d]`` and ``c = T[:k, d]`` satisfy
 range.  So ``norm(b - a x)**2 = tau**2 + norm(c - r x)**2`` for every ``x``,
 ``pinv(a) b = pinv(r) c``, and ``pinv(A_l) A_k = pinv(R_l) R_k`` for column
 blocks: the oracle, the telemetry and the column-block descent work on
-``k`` rows, not ``n``.
+``k`` rows, not ``n``.  The oracle is one rank-revealing least-squares solve
+of ``r x = c`` (:func:`~blockkaczmarz.linalg.min_norm_lstsq`), which gives
+``x_ls`` and ``a``'s singular values and forms no singular vector.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_RANK_TOLERANCE,
-    SpectralSummary,
-    SvdFactorization,
-    as_matrix,
-    as_vector,
-    pinv_apply,
-    summarize_factorization,
-    svd_factor,
-)
+from .linalg import DEFAULT_RANK_TOLERANCE, SpectralSummary, _summarize, as_matrix, as_vector, min_norm_lstsq
 
 
 @dataclass(frozen=True)
@@ -82,11 +75,13 @@ def make_system(
     """Build a :class:`LinearSystem`, solving for the exact solution once.
 
     ``[a | b]`` is factored once, for ``r``, ``c`` and ``tau``.  With the
-    oracle, ``x_ls`` is the thin SVD of ``r`` applied to ``c``, so no
-    factor with ``n`` rows is formed; without it, no SVD is taken.  Both
-    are computed here, so solver timings never include them.  A zero column
-    of ``a`` is an exactly zero column of ``r``: every reflection maps a zero
-    vector to zero.
+    oracle, ``x_ls``, the singular values and the rank come from one
+    least-squares solve of ``r x = c`` that drops singular values at or
+    below ``rank_tolerance * s_max`` and forms no singular vector, so no
+    factor with ``n`` rows is formed; ``with_oracle=False`` skips that
+    solve.  Both are computed here, so solver timings never include them.  A
+    zero column of ``a`` is an exactly zero column of ``r``: every reflection
+    maps a zero vector to zero.
     """
     a = as_matrix(a)
     b = as_vector(b, "b")
@@ -95,22 +90,9 @@ def make_system(
     t, k = np.linalg.qr(np.column_stack((a, b)), mode="r"), min(a.shape)
     system = LinearSystem(a=a, b=b, r=np.ascontiguousarray(t[:k, :-1]), c=t[:k, -1].copy(),
                           tau=float(np.linalg.norm(t[k:, -1])), x_ls=None, spectral=None, b_range=None, b_perp=None)
-    del t  # the system keeps copies only: free T before the SVD
+    del t  # the system keeps copies only: free T before the least-squares solve
     if not with_oracle:
         return system
-    return attach_oracle(system, svd_factor(system.r, rank_tolerance), system.c)
-
-
-def attach_oracle(system: LinearSystem, fact: SvdFactorization, rhs: np.ndarray) -> LinearSystem:
-    """``system`` with its oracle read off ``fact`` and ``rhs``.
-
-    ``fact`` factors ``Q^T a`` and ``rhs`` is ``Q^T b``, for any ``Q`` with
-    orthonormal columns whose range contains ``a``'s: ``system.a`` itself
-    with ``system.b`` (``Q = I``), or ``system.r`` with ``system.c``.
-    Either way ``x_ls = pinv_apply(fact, rhs)``, the singular values and
-    ``V`` are ``a``'s, and ``b_range = a @ x_ls``.
-    """
-    x_ls = pinv_apply(fact, rhs)
-    b_range = system.a @ x_ls
-    return replace(system, x_ls=x_ls, spectral=summarize_factorization(system.a, fact), b_range=b_range,
-                   b_perp=system.b - b_range)
+    x_ls, s, rank = min_norm_lstsq(system.r, system.c, rank_tolerance)
+    b_range = a @ x_ls
+    return replace(system, x_ls=x_ls, spectral=_summarize(a, s, rank), b_range=b_range, b_perp=b - b_range)

@@ -30,7 +30,7 @@ from blockkaczmarz.harness import (
 from blockkaczmarz import harness, linalg, solvers, systems
 from blockkaczmarz.paving import column_standardize, dynamic_range, row_standardize
 from blockkaczmarz.solvers import StopRule, make_block_plan, run
-from blockkaczmarz.systems import attach_oracle, make_system
+from blockkaczmarz.systems import make_system
 
 
 class TestGenGaussianRowstd:
@@ -139,23 +139,24 @@ class TestGenerateSystem:
             generate_system(ProblemSpec(kind="banded", seed=0))
 
     @pytest.mark.parametrize("preset", ["fig3a", "figd"])
-    def test_inconsistent_system_takes_one_svd(self, preset, monkeypatch):
-        shapes = []
+    def test_inconsistent_system_takes_one_least_squares_solve(self, preset, monkeypatch):
+        # the noise is projected with a QR of a, and the oracle is one
+        # least-squares solve on the d x d range factor: no SVD is taken
+        calls = []
 
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return linalg.svd_factor(a, *args, **kwargs)
+        def counting(real):
+            return lambda a, *args, **kwargs: calls.append((real.__name__, a.shape)) or real(a, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "svd_factor", counting_svd)
-        monkeypatch.setattr(systems, "svd_factor", counting_svd)
+        monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "lstsq", counting(np.linalg.lstsq))
         generate_system(make_preset(preset, 0).spec)
-        assert shapes == [(300, 100)]
+        assert calls == [("lstsq", (100, 100))]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("preset", ["fig3a", "figd"])
-    def test_inconsistent_system_matches_two_svd_construction(self, preset, seed):
-        # replay the generator's draws with a separate SVD for the noise and
-        # for the oracle: sharing one must not change a bit
+    def test_inconsistent_system_matches_its_replayed_draws(self, preset, seed):
+        # replay the generator's draws, project the noise with the QR of a and
+        # build the system with make_system: not a bit may differ
         spec = make_preset(preset, seed).spec
         n, d = spec.n, spec.d
         rng = np.random.default_rng(seed)
@@ -163,12 +164,10 @@ class TestGenerateSystem:
         if spec.kind == GAUSSIAN_DYNAMIC:
             a = a * np.arange(1.0, n + 1.0)[:, None]
         x = rng.standard_normal(d)
-        fact = linalg.svd_factor(a)
-        u = fact.u[:, : fact.rank]
+        q = np.linalg.qr(a)[0]
         g = rng.standard_normal(n)
-        e = g - u @ (u.T @ g)
-        b = a @ x + e * (spec.residual_norm / np.linalg.norm(e))
-        ref = attach_oracle(make_system(a, b, with_oracle=False), linalg.svd_factor(a), b)
+        e = g - q @ (q.T @ g)
+        ref = make_system(a, a @ x + e * (spec.residual_norm / np.linalg.norm(e)))
         sys_ = generate_system(spec)
         for name in ("a", "b", "r", "c", "tau", "x_ls", "b_range", "b_perp"):
             assert np.array_equal(getattr(sys_, name), getattr(ref, name)), name
@@ -485,7 +484,7 @@ class TestEnvelopes:
             return lambda *args, **kwargs: calls.append(real.__name__) or real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, svds))
-        for module in (linalg, harness, solvers):
+        for module in (linalg, solvers):
             monkeypatch.setattr(module, "svd_factor", counting(linalg.svd_factor, svds))
         monkeypatch.setattr(harness, "paving_bounds", counting(harness.paving_bounds, pavings))
         rows = compute_envelopes(arms, {arm.setting.name: 3 for arm in arms})
@@ -494,9 +493,9 @@ class TestEnvelopes:
         assert {r.method for r in rows} == {m.name for m in p.methods if m.method != "hybrid"}
 
     def test_fig4_factors_nothing_with_more_than_d_plus_one_rows(self, monkeypatch):
-        # make_system factors [a | b] once and takes the oracle SVD of its
+        # make_system factors [a | b] once and solves for the oracle on its
         # d x d factor R, and each blockcd arm plans its column blocks on R:
-        # no SVD sees the 1200 rows of the ray matrix
+        # no SVD or solve sees the 1200 rows of the ray matrix
         p = make_preset("fig4", 0, max_epochs=0)
         shapes = []
 
@@ -504,13 +503,15 @@ class TestEnvelopes:
             return lambda a, *args, **kwargs: shapes.append((real.__name__, a.shape)) or real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
-        for module in (linalg, harness, solvers, systems):
+        monkeypatch.setattr(np.linalg, "lstsq", counting(np.linalg.lstsq))
+        for module in (linalg, solvers):
             monkeypatch.setattr(module, "svd_factor", counting(linalg.svd_factor))
         experiment = run_experiment(p.spec, list(p.methods), 1, p.stop)
         n, d = experiment.system.a.shape
         assert n > d + 1
         blocks = sum(m.col_blocks for m in p.methods)
-        assert [name for name, _ in shapes].count("svd_factor") == 1 + blocks
+        assert [name for name, _ in shapes].count("svd_factor") == blocks
+        assert [shape for name, shape in shapes if name == "lstsq"] == [(d, d)]
         assert max(shape[0] for _, shape in shapes) <= d + 1
 
     def test_arms_missing_from_the_grid_are_skipped(self):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockkaczmarz.linalg import DEFAULT_RANK_TOLERANCE, svd_factor
@@ -364,11 +364,17 @@ def test_trace_telemetry_matches_direct_norms(method, problem):
             assert abs(row.z_error_l2 - np.linalg.norm(resid - system.b_perp)) <= tol
 
 
-@pytest.mark.parametrize("strategy", [
+# Systems a, b with a column partition and a stream: full, low and deficient
+# column rank, tall and wide.
+RANGE_FACTOR_PROBLEMS = [
     problems().map(lambda p: (p[0].a, p[0].b, p[2].partition, p[3])),
     rank_deficient_columns().map(lambda p: (p[0], p[1], p[2].partition, p[4])),
     telemetry_problems().map(lambda p: (p[0].a, p[0].b, p[2], np.random.default_rng(p[3]))),
-], ids=["problems", "rank_deficient_columns", "tall_or_wide"])
+]
+RANGE_FACTOR_IDS = ["problems", "rank_deficient_columns", "tall_or_wide"]
+
+
+@pytest.mark.parametrize("strategy", RANGE_FACTOR_PROBLEMS, ids=RANGE_FACTOR_IDS)
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_range_factor_gives_the_oracle_and_descent_of_a(strategy, data):
@@ -415,6 +421,37 @@ def test_range_factor_gives_the_oracle_and_descent_of_a(strategy, data):
     x = np.zeros(a.shape[1])
     kernel.apply(x, None, kernel.draw(rng, 3 * part.n_blocks))
     assert np.all(x[zero] == 0.0)
+
+
+@pytest.mark.parametrize("rank_tolerance", [DEFAULT_RANK_TOLERANCE, 1e-3])
+@pytest.mark.parametrize("strategy", RANGE_FACTOR_PROBLEMS, ids=RANGE_FACTOR_IDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_oracle_cutoff_is_the_truncated_svd_of_r(strategy, rank_tolerance, data):
+    # make_system's least-squares solve drops the singular values of r at or
+    # below rank_tolerance * s_max: its x_ls and spectral summary are those of
+    # the SVD of r truncated by that rule.  A singular value within rounding
+    # of the cutoff may fall on either side, so such draws are skipped.  The
+    # bounds are 450 eps on sigma_max for the singular values, kappa_k times
+    # that relative for the quotients, and kappa_k (|x| + |c| / sigma_k) for
+    # x_ls, with kappa_k over the kept singular values.
+    a, b, _, _ = data.draw(strategy)
+    tol = 1e-13
+    system = make_system(a, b, rank_tolerance=rank_tolerance)
+    u, s, vt = np.linalg.svd(system.r, full_matrices=False)
+    assume(np.all(np.abs(s - rank_tolerance * s[0]) > tol * s[0]))
+    k = int(np.count_nonzero(s > rank_tolerance * s[0]))
+    kappa = s[0] / s[k - 1]
+
+    x_ref = vt[:k].T @ ((u[:, :k].T @ system.c) / s[:k])
+    scale = kappa * (np.linalg.norm(x_ref) + np.linalg.norm(system.c) / s[k - 1])
+    assert np.linalg.norm(system.x_ls - x_ref) <= tol * scale
+    got = system.spectral
+    assert got.frobenius == np.linalg.norm(a)
+    assert abs(got.sigma_max - s[0]) <= tol * s[0]
+    assert abs(got.sigma_min_nonzero - s[k - 1]) <= tol * s[0]
+    assert got.condition == pytest.approx(s[0] / s[k - 1], rel=tol * kappa)
+    assert got.scaled_condition == pytest.approx(np.linalg.norm(a) / s[k - 1], rel=tol * kappa)
 
 
 @st.composite
