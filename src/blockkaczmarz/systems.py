@@ -26,7 +26,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOLERANCE, SpectralSummary, _summarize, as_matrix, as_vector, min_norm_lstsq
+from .linalg import (
+    DEFAULT_RANK_TOLERANCE,
+    SpectralSummary,
+    _summarize,
+    as_matrix,
+    as_vector,
+    min_norm_lstsq,
+)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from blockkaczmarz.harness import (
     write_csv,
     write_envelopes_csv,
 )
-from blockkaczmarz import harness, linalg, solvers, systems
+from blockkaczmarz import harness, linalg, solvers
 from blockkaczmarz.paving import column_standardize, dynamic_range, row_standardize
 from blockkaczmarz.solvers import StopRule, make_block_plan, run
 from blockkaczmarz.systems import make_system
