@@ -49,10 +49,11 @@ holds that update once: :meth:`Kernel.start` starts a run, whose epochs of
 batched draws update ``x`` and ``z`` in place (:meth:`Kernel.apply` is the
 first epoch of a new run), and :meth:`Kernel.step` is the one pure step,
 with its indices drawn or pinned side by side, column side first.  A run
-keeps its own state (``blockcd``, ``double`` and ``hybrid``: one descent run
-that carries its coordinates in block order and ``h`` across epochs);
-nothing writes into a system's arrays, a :class:`BlockPlan` or a
-kernel's operands, so independent runs can share them, even at once:
+keeps its own state (the block methods: one carried run that keeps the
+descent coordinates in block order and ``h``, and the row side's
+``[1; x]``, across epochs); nothing writes into a system's arrays, a
+:class:`BlockPlan` or a kernel's operands, so independent runs can share
+them, even at once:
 :meth:`Kernel.build` factors every block of a fixed partition once and
 drops the plans, and :func:`run` takes such a kernel through
 :attr:`MethodConfig.kernel`, as :func:`~blockkaczmarz.harness.prepare_method`
@@ -63,10 +64,11 @@ steps as one triangular solve, a single step as a chunk of one: a run of
 Kaczmarz steps is one forward substitution on the Gram matrix of its rows
 (Bjorck & Elfving, BIT 1979), and ``rek``'s column side is the same on the
 columns.  The iterates are those of the steps taken one by one, up to
-rounding.  The block sides run step by step, each step only its ``np.dot``
-calls and in-place updates on operands that :meth:`Kernel.build` made for
-every block of the partition, once per kernel: three numpy calls per
-``block`` or ``blockcd`` step.
+rounding.  The block sides run step by step in one loop, each step only its
+``np.dot`` calls and in-place updates on operands that :meth:`Kernel.build`
+made for every block of the partition, once per kernel, each writing into a
+buffer of the run: three numpy calls per ``blockcd`` descent step, and three
+per ``block`` row step (four against ``b - z``).
 """
 
 from __future__ import annotations
@@ -242,14 +244,6 @@ def _clear_zero_columns(sub: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(sub.any(axis=0)[:, None], v, 0.0)
 
 
-class _Stateless:
-    """An engine whose epochs share no state: a run's epoch callable is its
-    ``__call__`` on the run's ``x`` and ``z``."""
-
-    def start(self, x, z):
-        return lambda indices: self(indices, x, z)
-
-
 class _PinvDescent:
     """Block coordinate descent on the least-squares objective, run on the
     block pseudoinverse images of the residual.
@@ -265,7 +259,7 @@ class _PinvDescent:
     against O(n c) for the same step on ``z``.  :class:`_DescentRun` takes it.
 
     ``blockcd`` descends on ``B = a``, with ``y = x``
-    (``double`` and ``hybrid`` on the blocks' bases: :class:`_BasesDescent`).
+    (``double`` and ``hybrid`` on the blocks' bases: :class:`_RowBlocks`).
     The descent reads ``a`` only through ``pinv(A_l) A_k`` and
     ``h_b = [pinv(A_l) b]_l``, and for any ``Q`` with orthonormal columns and
     ``a = Q F``, they are ``pinv(F_l) F_k`` and ``pinv(F_l) Q^T b``.  So
@@ -339,21 +333,25 @@ _REFRESH = 10
 
 
 class _DescentRun:
-    """One run of a built descent engine (:class:`_PinvDescent` or
-    :class:`_BasesDescent`), and its epoch callable.
+    """One run of a built block engine (:class:`_PinvDescent` or
+    :class:`_RowBlocks`), and its epoch callable.
 
-    The state is the descent coordinates in block order, :attr:`y`; the
-    carried :attr:`h`; per-block views of both; and a buffer that every
-    product is written into, so a step is three calls on prebuilt arrays that
-    allocate nothing: ``w = h[l]`` is read by ``y[l] += w`` and by
-    ``np.dot(w, C[l], out=tmp)`` before ``h -= tmp`` writes ``h``.  ``h`` is
-    set to ``h0 - y C`` (a gemv on ``C``) at the first epoch and then every
-    ``_REFRESH`` epochs, with :attr:`h0` the ``h`` of ``y = 0``, taken once
-    per run; in between it drifts by rounding, at most ``cond(B_l)`` per
-    step.  ``rows`` are the operands and views of the row step that follows
-    each descent step (:meth:`_BasesDescent.start`), all ``None`` for
-    ``blockcd``, which has no row side; ``end`` writes the run's ``x`` and
-    ``z`` at each epoch's end.
+    A step is a descent step on column block ``l``, then a row step on row
+    block ``k``; a run takes the sides its method has.  The descent state is
+    the coordinates in block order, :attr:`y`; the carried :attr:`h`; and
+    per-block views of both.  ``h`` is set to ``h0 - y C`` (a gemv on ``C``)
+    at the first epoch and then every ``_REFRESH`` epochs, with :attr:`h0`
+    the ``h`` of ``y = 0``, taken once per run; in between it drifts by
+    rounding, at most ``cond(B_l)`` per step.  ``rows`` are the operands,
+    views and buffers of the row step (:meth:`_RowBlocks.start`), all
+    ``None`` for ``blockcd``, which has no row side; ``block`` has no column
+    blocks, so its runs take no descent step and no refresh.  ``end`` writes
+    the run's ``x`` and ``z`` at each epoch's end.
+
+    Every call writes into a prebuilt array passed as its positional output,
+    so a step allocates nothing and parses no keyword: ``w = h[l]`` is read
+    by ``y[l] += w`` and by ``w @ C[l]`` into a buffer before ``h -=`` that
+    buffer writes ``h``.
     """
 
     def __init__(self, engine, y, h0, end, rows=(None,) * 7):
@@ -367,77 +365,23 @@ class _DescentRun:
     def __call__(self, indices) -> None:
         h, y, hv, yv, cv, tmp = self.h, self.y, self._hv, self._yv, self._cv, self._tmp
         dot, add, subtract = np.dot, np.add, np.subtract
-        if self._epochs % _REFRESH == 0:
-            subtract(self.h0, dot(y, self._c, out=tmp), out=h)
+        if cv and self._epochs % _REFRESH == 0:
+            subtract(self.h0, dot(y, self._c, tmp), h)
         self._epochs += 1
         folded, lifted, v, x1, zv, rv, dx = self._rows
         # the column side draws indices[0]; indices[-1] is the row side's
-        # (blockcd has none: k is l, and unused)
+        # (a method with one side draws one list: k is l, or l is k)
         for l, k in zip(indices[0], indices[-1]):
-            w = hv[l]
-            yv[l] += w
-            subtract(h, dot(w, cv[l], out=tmp), out=h)
+            if cv:
+                w = hv[l]
+                add(yv[l], w, yv[l])
+                subtract(h, dot(w, cv[l], tmp), h)
             if folded:
-                rk = dot(folded[k], v, out=rv[k])
-                subtract(rk, zv[k], out=rk)
-                add(x1, dot(rk, lifted[k], out=dx), out=x1)
+                rk = dot(folded[k], v, rv[k])
+                if zv:
+                    subtract(rk, zv[k], rk)
+                add(x1, dot(rk, lifted[k], dx), x1)
         self._end()
-
-
-class _BasesDescent:
-    """``double`` and ``hybrid``: per step, :class:`_PinvDescent`'s step on
-    ``B = U``, the orthonormal bases ``U_l`` of the column blocks (of the
-    single columns, ``a_j / |a_j|``, when ``cols`` is the column
-    :class:`NormSampler`), then the folded step of its own
-    :class:`_RowBlocks` on ``rows``.
-
-    On the bases ``pinv(U_l) = U_l^T``, ``C = U^T U`` and ``h = U^T z``.  The
-    coordinates ``t`` keep ``z = z_0 - U t`` as accurate as the projections
-    ``z -= U_l U_l^T z``; on ``a``'s blocks, ``z -= A_l w`` would lose
-    ``cond(A_l)`` digits.  :meth:`build` makes ``C`` and ``U^T`` (O(n d)
-    memory), then the row side's operands with the blocks' rows of ``U``
-    appended, and drops the plans.
-    """
-
-    def __init__(self, a, b, rows: BlockPlan, cols):
-        self._a, self._cols, self._rows = a, cols, _RowBlocks(b, rows)
-
-    def build(self) -> None:
-        if isinstance(self._cols, NormSampler):
-            norms = np.sqrt(self._cols.sq_norms)
-            # a zero column has an empty basis: its steps leave z and t alone
-            bases = [self._a[:, [j]] / nj if nj else self._a[:, :0] for j, nj in enumerate(norms)]
-        else:
-            bases = _factors(self._cols)[0]
-        self._cols = None
-        self._slices = _slices([u.shape[1] for u in bases])
-        self._ut = np.concatenate(bases, axis=1).T.copy()
-        self._c = self._ut @ self._ut.T
-        self._cv = [self._c[j] for j in self._slices]
-        self._rows.build(self._ut.T)
-        rows_of = self._rows.rows_of
-        self._row_order, self._row_slices = np.concatenate(rows_of), _slices([len(i) for i in rows_of])
-
-    def start(self, x, z) -> _DescentRun:
-        """A run on ``x`` and ``z`` from ``z_0``, the ``z`` passed in: its
-        :class:`_DescentRun` on ``t``, with ``h0 = U^T z_0``, and the row
-        step.  After the descent steps so far ``z = z_0 - U t``, so the row
-        residual ``(b - z - a x)_k`` is ``[b_k | -A_k | U_k] [1; x; t] -
-        (z_0)_k``: the run keeps ``v = [1; x; t]``, ``z_0`` gathered into
-        row-block order once, and a view of each for every block, and writes
-        each dot into a buffer.  Each epoch ends with ``x`` set from ``v`` and
-        ``z = z_0 - U t``, one n x d gemv."""
-        v = np.concatenate(([1.0], x, np.zeros(self._ut.shape[0])))
-        x1, t = v[: x.size + 1], v[x.size + 1 :]
-        z0, zr, r = z.copy(), z[self._row_order], np.empty(z.size)
-        zv, rv = [zr[i] for i in self._row_slices], [r[i] for i in self._row_slices]
-        rows = (self._rows.folded, self._rows.lifted, v, x1, zv, rv, np.empty(x1.size))
-
-        def end() -> None:
-            x[:] = x1[1:]
-            np.subtract(z0, np.dot(self._ut.T, t), out=z)
-
-        return _DescentRun(self, t, np.dot(self._ut, z0), end, rows)
 
 
 def _slices(sizes) -> list[slice]:
@@ -446,44 +390,87 @@ def _slices(sizes) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
 
-class _RowBlocks(_Stateless):
-    """Project ``x`` onto the solution set of row block ``k`` of ``a x = b``:
-    the row side of ``block``, ``double`` and ``hybrid``.
+class _RowBlocks:
+    """``block``, ``double`` and ``hybrid``: per step, :class:`_PinvDescent`'s
+    step on the column side's bases, when the method has one, then the
+    projection of ``x`` onto the solution set of row block ``k`` of
+    ``a x = b - z`` (``block`` has no column side, and ``z`` is 0).
 
-    A step forms the block's residual first and applies the block
+    The row step forms the block's residual first and applies the block
     pseudoinverse to it, ``P_k = pinv(A_k)^T = U_k S_k^-1 V_k^T`` (Needell &
     Tropp, 2014), built from the plan's SVD factors with the rank cutoff
     kept.  The residual folds into the same gemv: ``x`` runs as ``[1; x]``,
-    and a step is ``r = [b_k | -A_k] [1; x]`` and ``[1; x] += r @ [0 | P_k]``,
-    three numpy calls; ``z`` is not read.  This is still residual first.  The
-    x-space form ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as fast, but it
-    applies ``S^-1`` to ``b`` once and fixes that rounding into its fixed
-    point: on blocks of near-duplicate rows its error floor was up to 28
-    times that of the residual-first step.
+    and ``block``'s step is ``r = [b_k | -A_k] [1; x]`` and
+    ``[1; x] += r @ [0 | P_k]``, three numpy calls.  This is still residual
+    first.  The x-space form ``x += (S^-1 U^T b_k - V_k^T x) V_k^T`` is as
+    fast, but it applies ``S^-1`` to ``b`` once and fixes that rounding into
+    its fixed point: on blocks of near-duplicate rows its error floor was up
+    to 28 times that of the residual-first step.
 
-    :meth:`build` makes the contiguous :attr:`folded` ``[b_k | -A_k]``, with
-    the block's rows of ``bases`` appended when given (the row side of
-    :class:`_BasesDescent`), and :attr:`lifted` ``[0 | P_k]``, and drops the
-    plan; :attr:`rows_of` are the blocks' rows.
+    The column side descends on ``B = U``, the orthonormal bases ``U_l`` of
+    the column blocks (of the single columns, ``a_j / |a_j|``, when ``cols``
+    is the column :class:`NormSampler`): there ``pinv(U_l) = U_l^T``,
+    ``C = U^T U`` and ``h = U^T z``.  The coordinates ``t`` keep
+    ``z = z_0 - U t`` as accurate as the projections ``z -= U_l U_l^T z``; on
+    ``a``'s blocks, ``z -= A_l w`` would lose ``cond(A_l)`` digits.
+
+    :meth:`build` makes ``U^T`` and ``C`` (O(n d) memory; empty without a
+    column side), the contiguous :attr:`folded` ``[b_k | -A_k | U_k]``, with
+    ``U_k`` the block's rows of ``U``, and :attr:`lifted` ``[0 | P_k]``, and
+    drops the plans.
     """
 
-    def __init__(self, b, rows: BlockPlan):
-        self._b, self._sub, self._facts, self.rows_of = b, rows.submatrices, rows.factorizations, rows.partition.blocks
+    def __init__(self, a, b, rows: BlockPlan, cols=None):
+        self._a, self._b, self._rows, self._cols = a, b, rows, cols
 
-    def build(self, bases: np.ndarray | None = None) -> None:
-        pts = [_pinv_transpose(sub, f) for sub, f in zip(self._sub, self._facts)]
-        bks = [self._b[i] for i in self.rows_of]
-        self.folded = [np.hstack((bk[:, None], -sub) + (() if bases is None else (bases[i],)))
-                       for i, bk, sub in zip(self.rows_of, bks, self._sub)]
-        self.lifted = [np.hstack((np.zeros((len(bk), 1)), pt)) for bk, pt in zip(bks, pts)]
-        self._sub = self._facts = None
+    def build(self) -> None:
+        a, rows, cols = self._a, self._rows, self._cols
+        if isinstance(cols, NormSampler):
+            norms = np.sqrt(cols.sq_norms)
+            # a zero column has an empty basis: its steps leave z and t alone
+            bases = [a[:, [j]] / nj if nj else a[:, :0] for j, nj in enumerate(norms)]
+        else:
+            bases = [] if cols is None else _factors(cols)[0]
+        self._rows = self._cols = None
+        self._slices = _slices([u.shape[1] for u in bases])
+        # n x 0 bases without a column side
+        ut = self._ut = np.concatenate([a[:, :0], *bases], axis=1).T.copy()
+        self._c = ut @ ut.T
+        self._cv = [self._c[j] for j in self._slices]
+        rows_of, subs = rows.partition.blocks, rows.submatrices
+        bks = [self._b[i] for i in rows_of]
+        self.folded = [np.hstack((bk[:, None], -sub, ut.T[i])) for i, bk, sub in zip(rows_of, bks, subs)]
+        self.lifted = [np.hstack((np.zeros((len(bk), 1)), _pinv_transpose(sub, f)))
+                       for bk, sub, f in zip(bks, subs, rows.factorizations)]
+        self._row_order, self._row_slices = np.concatenate(rows_of), _slices([len(i) for i in rows_of])
 
-    def __call__(self, indices, x, z) -> None:
-        m, q = self.folded, self.lifted
-        x1, dot = np.concatenate(([1.0], x)), np.dot
-        for k in indices[0]:
-            x1 += dot(dot(m[k], x1), q[k])
-        x[:] = x1[1:]
+    def start(self, x, z) -> _DescentRun:
+        """A run on ``x`` and, with a column side, on ``z`` from ``z_0``, the
+        ``z`` passed in: its :class:`_DescentRun` on ``t``, with
+        ``h0 = U^T z_0``, and the row step.  After the descent steps so far
+        ``z = z_0 - U t``, so the row residual ``(b - z - a x)_k`` is
+        ``[b_k | -A_k | U_k] [1; x; t] - (z_0)_k``: the run keeps
+        ``v = [1; x; t]``, ``z_0`` gathered into row-block order once, and a
+        view of each for every block, and writes each dot into a buffer.
+        Each epoch ends with ``x`` set from ``v`` and ``z = z_0 - U t``, one
+        n x d gemv.  Without a column side (``block``) ``t`` is empty, and
+        ``z`` is neither read nor written."""
+        ut = self._ut
+        v = np.concatenate(([1.0], x, np.zeros(ut.shape[0])))
+        x1, t = v[: x.size + 1], v[x.size + 1 :]
+        r = np.empty(self._b.size)
+        z0 = zv = h0 = None
+        if self._cv:
+            z0, zr = z.copy(), z[self._row_order]
+            zv, h0 = [zr[i] for i in self._row_slices], np.dot(ut, z0)
+
+        def end() -> None:
+            x[:] = x1[1:]
+            if z0 is not None:
+                np.subtract(z0, np.dot(ut.T, t), out=z)
+
+        rv = [r[i] for i in self._row_slices]
+        return _DescentRun(self, t, h0, end, (self.folded, self.lifted, v, x1, zv, rv, np.empty(x1.size)))
 
 
 def _pinv_transpose(sub: np.ndarray, f: SvdFactorization) -> np.ndarray:
@@ -498,7 +485,7 @@ _CHUNK = 32
 _TRI = np.tri(_CHUNK)
 
 
-class _NormChunks(_Stateless):
+class _NormChunks:
     """``rk`` and ``rek`` steps run a chunk at a time; a single step is a
     chunk of one.
 
@@ -527,6 +514,9 @@ class _NormChunks(_Stateless):
             a = self._a
             self._at = np.ascontiguousarray(a.T)
             self._ata = self._at @ a if a.shape[1] <= a.shape[0] else None
+
+    def start(self, x, z):
+        return lambda indices: self(indices, x, z)
 
     def __call__(self, indices, x, z) -> None:
         a, b, at, ata = self._a, self._b, self._at, self._ata
@@ -592,21 +582,20 @@ class Kernel:
     :class:`ConfigError`, as a partition does in
     :meth:`MethodConfig.validate`.
 
-    The engine runs the drawn steps on ``x`` and ``z``; each has
-    ``build()`` and ``start(x, z)``, which returns a run's epoch callable.
-    The kernel holds no run's state, so runs can share it, even at once:
-    the runs of ``blockcd``, ``double`` and ``hybrid`` are one
-    :class:`_DescentRun` each, which keeps its state between epochs, and
-    the others call their engine's ``__call__(indices, x, z)``.  ``rk``
-    and ``rek`` (single rows and columns only) run chunks of steps as
-    triangular solves (:class:`_NormChunks`), a single step as a chunk of
-    one.  ``blockcd`` runs the descent of :class:`_PinvDescent`, ``block``
-    the folded step of :class:`_RowBlocks`, and ``double`` and ``hybrid``
-    the descent on the column blocks' bases with its own folded row step
-    (:class:`_BasesDescent`): ``hybrid``'s descent runs on single columns,
-    on the column norms of its :class:`NormSampler`.
-    Each step is only its BLAS calls on operands that :meth:`build` made for
-    every block, once, before the first step.
+    The engine runs the drawn steps on ``x`` and ``z``; each of the three
+    has ``build()`` and ``start(x, z)``, which returns a run's epoch
+    callable.  The kernel holds no run's state, so runs can share it, even
+    at once.  ``rk`` and ``rek`` (single rows and columns only) run chunks
+    of steps as triangular solves (:class:`_NormChunks`), a single step as a
+    chunk of one; their runs call the engine on ``x`` and ``z``.  The runs
+    of the block methods are one :class:`_DescentRun` each, which keeps its
+    state between epochs: ``blockcd`` runs the descent of
+    :class:`_PinvDescent`, and ``block``, ``double`` and ``hybrid`` the
+    folded row step of :class:`_RowBlocks`, after the descent on the column
+    blocks' bases for the two with a column side (``hybrid``'s on single
+    columns, on the column norms of its :class:`NormSampler`).  Each step is
+    only its BLAS calls on operands that :meth:`build` made for every block,
+    once, before the first step.
 
     ``method``, ``a``, ``b`` and the two partitions (``None`` for a side
     drawn by squared norm) record what the kernel was built for.  The kernel
@@ -636,10 +625,8 @@ class Kernel:
             self._engine = _NormChunks(a, b, columns=col_side is not None)
         elif row_side is None:
             self._engine = _PinvDescent(a, b, cols, b if qtb is None else qtb)
-        elif col_side is None:
-            self._engine = _RowBlocks(b, rows)
         else:
-            self._engine = _BasesDescent(a, b, rows, self._picks[0] if cols is None else cols)
+            self._engine = _RowBlocks(a, b, rows, self._picks[0] if col_side == _NORM else cols)
         self._built = False
 
     @classmethod
@@ -709,11 +696,11 @@ class Kernel:
         ``indices`` (as from :meth:`draw`) on them in place, one epoch per
         call.
 
-        The run owns what it carries between its epochs (``blockcd``,
-        ``double`` and ``hybrid``: the descent coordinates in block order and
-        ``h``, refreshed every ``_REFRESH`` epochs; ``x`` and, for the bases,
-        ``z`` are written at each epoch's end but never read back), so ``x``
-        and ``z`` change only through the run's calls.
+        The run owns what it carries between its epochs (the block methods:
+        the descent coordinates in block order and ``h``, refreshed every
+        ``_REFRESH`` epochs, and the row side's ``[1; x]``; ``x`` and, for
+        the bases, ``z`` are written at each epoch's end but never read
+        back), so ``x`` and ``z`` change only through the run's calls.
         """
         return self.build()._engine.start(x, z)
 
@@ -826,9 +813,9 @@ def run(system: LinearSystem, config: MethodConfig, stop: StopRule, error_fn=Non
         ``a^T a``) are built by :meth:`Kernel.build`, and the run's state
         started by :meth:`Kernel.start`, before the first epoch, and only
         when ``stop.max_epochs >= 1``; telemetry and stopping checks are
-        excluded too.  Every epoch runs on that one started state, so
-        ``blockcd``, ``double`` and ``hybrid`` carry ``h`` and their
-        block-ordered coordinates across epochs.
+        excluded too.  Every epoch runs on that one started state, so the
+        block methods carry ``h``, their block-ordered coordinates and
+        ``[1; x]`` across epochs.
         ``residual_l2`` is ``norm(b - a x)``.  When the system has
         ``x_ls``, it is read off the system's range factor: with
         ``e = x - x_ls`` and ``g_ls = c - r x_ls``, it is

@@ -291,8 +291,8 @@ class TestSharedArmKernel:
         "rek": ("_NormChunks", {}),
         "blockcd": ("_PinvDescent", {"col_blocks": 3}),
         "block": ("_RowBlocks", {"row_blocks": 4}),
-        "double": ("_BasesDescent", {"row_blocks": 4, "col_blocks": 3}),
-        "hybrid": ("_BasesDescent", {"row_blocks": 4}),
+        "double": ("_RowBlocks", {"row_blocks": 4, "col_blocks": 3}),
+        "hybrid": ("_RowBlocks", {"row_blocks": 4}),
     }
 
     @pytest.mark.parametrize("max_epochs", [0, 3])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockkaczmarz.linalg import DEFAULT_RANK_TOLERANCE, svd_factor
-from blockkaczmarz.paving import COLUMNS, paving_bounds, random_partition
+from blockkaczmarz.paving import COLUMNS, Partition, paving_bounds, random_partition
 from blockkaczmarz.solvers import (
     _CHUNK,
     _REFRESH,
@@ -200,6 +200,26 @@ def test_descent_run_refreshes_h_every_refresh_epochs(strategy, data):
     run_epoch(kernel.draw(rng, 0))
     fresh = np.subtract(run_epoch.h0, np.dot(run_epoch.y, kernel._engine._c))
     assert np.array_equal(run_epoch.h, fresh)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refresh_keeps_blockcd_accurate_on_near_duplicate_columns(seed):
+    # Each column block holds a near-duplicate pair, so C has entries near
+    # 1/spread and the first steps' w, pinv(A_l) b, are as large: their
+    # rounding drifts h far more than the refresh h0 - y C does once y is
+    # near x_ls.  With the refresh every _REFRESH epochs 200 epochs end at a
+    # z error of 1.0-4.2e-11 |b| and an error of 1.5-7.2e-6 |x_ls|; with it
+    # at epoch 0 only, at 0.72-1.6e-6 |b| and 0.26-0.37 |x_ls|.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((60, 12))
+    for j in (0, 4, 8):
+        a[:, j + 1] = a[:, j] + 1e-6 * rng.standard_normal(60)
+    q, g = np.linalg.qr(a)[0], rng.standard_normal(60)
+    system = make_system(a, a @ rng.standard_normal(12) + g - q @ (q.T @ g))
+    cols = Partition(COLUMNS, tuple(np.arange(12).reshape(3, 4)), 12)
+    trace = run(system, MethodConfig(BLOCK_CD, col_partition=cols, seed=seed), StopRule(200, 1e-300))
+    assert trace.rows[-1].z_error_l2 <= 1e-8 * np.linalg.norm(system.b)
+    assert trace.final_error <= 1e-3 * np.linalg.norm(system.x_ls)
 
 
 @st.composite
@@ -576,6 +596,24 @@ def epoch_iterates(kernel, system, method, seeds, epochs, interleaved):
             for _ in range(epochs):
                 epoch(i, run_epoch)
     return out
+
+
+@PROPERTY_SETTINGS
+@given(shared_kernel_problems())
+def test_carried_block_run_matches_per_epoch_restarts(problem):
+    # A block run carries [1; x] across epochs and writes x at each epoch's
+    # end; a run restarted on that x must take the same steps bit for bit.
+    # block has no column side: a z passed in is neither read nor written.
+    system, rows, _, seeds = problem
+    kernel = Kernel(BLOCK, system.a, system.b, rows=make_block_plan(system.a, rows)).build()
+    carried, restarted, z = np.zeros(system.n_cols), np.zeros(system.n_cols), system.b.copy()
+    run_epoch, g = kernel.start(carried, None), np.random.default_rng(seeds[0])
+    for _ in range(_REFRESH + 2):
+        indices = kernel.draw(g, system.n_rows)
+        run_epoch(indices)
+        kernel.apply(restarted, z, indices)
+        assert np.array_equal(carried, restarted)
+    assert np.array_equal(z, system.b)
 
 
 @pytest.mark.parametrize("method", METHODS + (HYBRID,))
