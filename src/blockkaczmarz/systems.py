@@ -86,9 +86,11 @@ def make_system(
     least-squares solve of ``r x = c`` that drops singular values at or
     below ``rank_tolerance * s_max`` and forms no singular vector, so no
     factor with ``n`` rows is formed; ``with_oracle=False`` skips that
-    solve.  Both are computed here, so solver timings never include them.  A
-    zero column of ``a`` is an exactly zero column of ``r``: every reflection
-    maps a zero vector to zero.
+    solve.  Both are computed here, so solver timings never include them.
+    When the solve's LAPACK iteration fails to converge, the ``ValueError``
+    names the shapes of ``r`` and of ``a``.  A zero column of ``a`` is an
+    exactly zero column of ``r``: every reflection maps a zero vector to
+    zero.
     """
     a = as_matrix(a)
     b = as_vector(b, "b")
@@ -100,6 +102,13 @@ def make_system(
     del t  # the system keeps copies only: free T before the least-squares solve
     if not with_oracle:
         return system
-    x_ls, s, rank = min_norm_lstsq(system.r, system.c, rank_tolerance)
+    try:
+        x_ls, s, rank = min_norm_lstsq(system.r, system.c, rank_tolerance)
+    except ValueError as exc:
+        if not isinstance(exc.__cause__, np.linalg.LinAlgError):
+            raise  # an invalid rank_tolerance
+        n, d = a.shape
+        raise ValueError(f"least-squares SVD failed to converge for the {k}x{d} range factor of the {n}x{d} "
+                         "matrix") from exc.__cause__
     b_range = a @ x_ls
     return replace(system, x_ls=x_ls, spectral=_summarize(a, s, rank), b_range=b_range, b_perp=b - b_range)

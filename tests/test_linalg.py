@@ -119,10 +119,12 @@ class TestLapackFailure:
             min_norm_lstsq(np.ones((3, 2)), np.ones(3))
 
     def test_make_system(self, monkeypatch):
-        # the solve is on the 2x2 range factor r of the 3x2 a
+        # the solve is on the 2x2 range factor r of the 3x2 a: both are named
         monkeypatch.setattr(np.linalg, "lstsq", self.fail)
-        with pytest.raises(ValueError, match="2x2 matrix"):
+        with pytest.raises(ValueError, match="^least-squares SVD failed to converge for the 2x2 range factor "
+                           "of the 3x2 matrix$") as caught:
             make_system(np.eye(3, 2), np.ones(3))
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestSpectralSummary:
