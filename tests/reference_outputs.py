@@ -15,6 +15,17 @@ stored file.  Rewrite the file, after a change that is meant to move these
 results, with::
 
     PYTHONPATH=src python tests/reference_outputs.py
+
+A path after the command writes that file instead.  To see what a change
+moved without rewriting anything, add ``--diff``: it compares a fresh
+``compute()`` with the stored file (or the path given) and prints every
+flipped ``final_epoch`` or ``converged``, then, for each column and the
+envelopes, the largest move as a fraction of the stored epoch-0 value, and
+where it is; it exits 1 when a stop flipped.  To compare two trees exactly,
+write the parent tree's results to a file and diff against it::
+
+    PYTHONPATH=../parent/src python tests/reference_outputs.py parent.json
+    PYTHONPATH=src python tests/reference_outputs.py --diff parent.json
 """
 
 import json
@@ -79,11 +90,60 @@ def compute() -> dict:
             "closest_stop": closest, "presets": presets}
 
 
-def main() -> int:
-    PATH.write_text(json.dumps(compute(), indent=1) + "\n")
-    print(f"wrote {PATH}", file=sys.stderr)
+def diff(stored: dict, fresh: dict) -> tuple[list[str], dict]:
+    """The flipped stops of ``fresh`` against ``stored``, one line each, and
+    per column its largest move as a fraction of the stored epoch-0 value,
+    as ``(move, where)``; values are compared at the epochs both pinned."""
+    flips, largest = [], {}
+
+    def move(column, where, got, want):
+        at = dict(zip(got["epochs"], got["values"]))
+        for epoch, w in zip(want["epochs"], want["values"]):
+            g = at.get(epoch, w)
+            if (g is None) != (w is None):
+                flips.append(f"{where} {column} at epoch {epoch}: {w!r} -> {g!r}")
+            elif w is not None:
+                m = abs(g - w) / (abs(want["values"][0]) or 1.0)
+                if m > largest.get(column, (-1.0,))[0]:
+                    largest[column] = (m, f"{where}, epoch {epoch}")
+
+    for preset, arms in stored["presets"].items():
+        for arm, want in arms.items():
+            got = fresh["presets"].get(preset, {}).get(arm)
+            if got is None:
+                flips.append(f"{preset} {arm}: missing")
+                continue
+            for trial, (g, w) in enumerate(zip(got["trials"], want["trials"])):
+                where = f"{preset} {arm} trial {trial}"
+                flips += [f"{where} {key}: {w[key]!r} -> {g[key]!r}" for key in ("final_epoch", "converged")
+                          if g[key] != w[key]]
+                for column in COLUMNS:
+                    move(column, where, {"epochs": g["epochs"], "values": g[column]},
+                         {"epochs": w["epochs"], "values": w[column]})
+            if (got["envelope"] is None) != (want["envelope"] is None):
+                flips.append(f"{preset} {arm} envelope: {want['envelope']!r} -> {got['envelope']!r}")
+            elif want["envelope"] is not None:
+                move("envelope", f"{preset} {arm}", got["envelope"], want["envelope"])
+    return flips, largest
+
+
+def main(argv: list[str]) -> int:
+    args = [a for a in argv if a != "--diff"]
+    if len(args) > 1 or any(a.startswith("-") for a in args):
+        print("usage: reference_outputs.py [--diff] [PATH]", file=sys.stderr)
+        return 2
+    path = Path(args[0]) if args else PATH
+    if "--diff" in argv:
+        flips, largest = diff(json.loads(path.read_text()), compute())
+        for line in flips or ["no stop flipped"]:
+            print(line)
+        for column, (m, where) in largest.items():
+            print(f"{column}: largest move {m:.3g} of epoch 0 ({where})")
+        return 1 if flips else 0
+    path.write_text(json.dumps(compute(), indent=1) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -7,11 +7,12 @@ and convergence must match exactly; every value may move by rounding only,
 partition draw or a stopping decision fails here, whatever bound it passes.
 """
 
+import copy
 import json
 
 import pytest
 
-from reference_outputs import COLUMNS, PATH, compute
+from reference_outputs import COLUMNS, PATH, compute, diff
 
 REL = 1e-12
 
@@ -57,3 +58,22 @@ def test_preset_results_match_the_reference(fresh, preset, arm):
         assert (got["envelope"]["metric"], got["envelope"]["epochs"]) == (want["envelope"]["metric"],
                                                                           want["envelope"]["epochs"])
         assert_close(got["envelope"]["values"], want["envelope"]["values"], f"{preset} {arm} envelope")
+
+
+def test_diff_names_flipped_stops_and_largest_moves():
+    # ``reference_outputs.py --diff``: against itself no stop flips and every
+    # move is 0; a flipped stop is named, and a moved value is the largest
+    # move of its column, as a fraction of the epoch-0 value
+    flips, largest = diff(STORED, STORED)
+    assert flips == [] and sorted(largest) == sorted(COLUMNS + ("envelope",))
+    assert all(move == 0 for move, _ in largest.values())
+    preset, arm = ARMS[0]
+    moved = copy.deepcopy(STORED)
+    trial = moved["presets"][preset][arm]["trials"][0]
+    trial["final_epoch"] += 1
+    trial["error_l2"][1] += 1e-3 * trial["error_l2"][0]
+    flips, largest = diff(STORED, moved)
+    assert flips == [f"{preset} {arm} trial 0 final_epoch: {trial['final_epoch'] - 1} -> {trial['final_epoch']}"]
+    move, where = largest["error_l2"]
+    assert move == pytest.approx(1e-3, rel=1e-9) and where == f"{preset} {arm} trial 0, epoch 1"
+    assert all(move == 0 for column, (move, _) in largest.items() if column != "error_l2")
