@@ -420,7 +420,7 @@ class _RowBlocks:
     drops the plans.
     """
 
-    def __init__(self, a, b, rows: BlockPlan, cols=None):
+    def __init__(self, a, b, rows: BlockPlan, cols):
         self._a, self._b, self._rows, self._cols = a, b, rows, cols
 
     def build(self) -> None:
@@ -459,7 +459,7 @@ class _RowBlocks:
         v = np.concatenate(([1.0], x, np.zeros(ut.shape[0])))
         x1, t = v[: x.size + 1], v[x.size + 1 :]
         r = np.empty(self._b.size)
-        z0 = zv = h0 = None
+        rv, z0, zv, h0 = [r[i] for i in self._row_slices], None, None, None
         if self._cv:
             z0, zr = z.copy(), z[self._row_order]
             zv, h0 = [zr[i] for i in self._row_slices], np.dot(ut, z0)
@@ -469,7 +469,6 @@ class _RowBlocks:
             if z0 is not None:
                 np.subtract(z0, np.dot(ut.T, t), out=z)
 
-        rv = [r[i] for i in self._row_slices]
         return _DescentRun(self, t, h0, end, (self.folded, self.lifted, v, x1, zv, rv, np.empty(x1.size)))
 
 
